@@ -232,17 +232,18 @@ def param_gradient(enc: Encoder, code_loss, xbatch: np.ndarray,
 
     code_loss(Z) -> (value, dL/dZ) for single-view losses, or
     code_loss(Z, Zplus) -> (value, dL/dZ, dL/dZplus) when ``xplus`` is given.
+    The two views go through one forward and one backprop of the stacked
+    batch.
     Returns (value, flat gradient).
     """
-    z = enc.forward(xbatch)
     if xplus is None:
-        value, gz = code_loss(z)
+        value, gz = code_loss(enc.forward(xbatch))
         return value, enc.backprop_params(xbatch, gz)
-    zp = enc.forward(xplus)
-    value, gz, gzp = code_loss(z, zp)
-    grad = enc.backprop_params(xbatch, gz)
-    grad += enc.backprop_params(xplus, gzp)
-    return value, grad
+    n = len(xbatch)
+    x2 = np.concatenate([xbatch, xplus])
+    z2 = enc.forward(x2)
+    value, gz, gzp = code_loss(z2[:n], z2[n:])
+    return value, enc.backprop_params(x2, np.concatenate([gz, gzp]))
 
 
 def finite_diff(fn, params: np.ndarray, step: float) -> np.ndarray:

@@ -3,7 +3,14 @@
 Every term is differentiable through the encoder: the code-level functions
 return the loss value together with its exact gradient with respect to the
 code matrices, and the composite backpropagates those through the encoder's
-parameters.  No labels are consumed anywhere in this module.
+parameters in one stacked pass over both views.  No labels are consumed
+anywhere in this module.
+
+The symmetric InfoNCE shares one exp pass between its row and column
+softmaxes, shifted by the global logit maximum.  When the logits spread over
+more than 700 (possible only with dot similarity; cosine logits satisfy
+|L| <= 1/tau) a shared shift could underflow a whole row, so it falls back to
+two per-row-shifted passes.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
+from .numerics import param_gradient
 from .worlds import rho_batch
 
 SIM_DOT = "dot"
@@ -20,6 +28,10 @@ SIM_COSINE = "cosine"
 
 # Numerical floor for cosine normalization; codes this small are degenerate.
 _NORM_FLOOR = 1e-12
+
+# Widest logit spread one shared exp shift tolerates: exp(-700) is still a
+# normal float64, so no row or column sum of the shifted exponentials is 0.
+_SHARED_SHIFT_MAX_SPREAD = 700.0
 
 
 @dataclass
@@ -74,23 +86,41 @@ def _softmax_ce_rows(logits):
     Returns (mean loss, gradient w.r.t. logits)."""
     n = logits.shape[0]
     m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    denom = e.sum(axis=1, keepdims=True)
+    p = np.subtract(logits, m)
+    np.exp(p, out=p)
+    denom = p.sum(axis=1, keepdims=True)
     log_denom = m[:, 0] + np.log(denom[:, 0])
     value = float(np.mean(log_denom - np.diag(logits)))
-    p = e / denom
-    grad = p.copy()
-    grad[np.arange(n), np.arange(n)] -= 1.0
-    return value, grad / n
+    p /= denom
+    p[np.arange(n), np.arange(n)] -= 1.0
+    p /= n
+    return value, p
 
 
 def nce_from_logits(logits, symmetric=True):
-    """InfoNCE core on a logit matrix whose diagonal holds the positives."""
-    if symmetric:
+    """InfoNCE core on a logit matrix whose diagonal holds the positives.
+    Returns (mean loss, gradient w.r.t. logits); ``logits`` is not modified."""
+    if not symmetric:
+        return _softmax_ce_rows(logits)
+    hi = logits.max()
+    if hi - logits.min() > _SHARED_SHIFT_MAX_SPREAD:
         v1, g1 = _softmax_ce_rows(logits)
         v2, g2 = _softmax_ce_rows(logits.T)
         return 0.5 * (v1 + v2), 0.5 * (g1 + g2.T)
-    return _softmax_ce_rows(logits)
+    n = logits.shape[0]
+    e = np.subtract(logits, hi)
+    np.exp(e, out=e)
+    rows = e.sum(axis=1)
+    cols = e.sum(axis=0)
+    pos = np.diag(logits) - hi
+    value = 0.5 * (float(np.mean(np.log(rows) - pos))
+                   + float(np.mean(np.log(cols) - pos)))
+    # d/dL_ij = (softmax_row_ij + softmax_col_ij) / 2n - [i == j] / n
+    grad = e * (0.5 / n / rows)[:, None]
+    e *= (0.5 / n / cols)[None, :]
+    grad += e
+    grad[np.arange(n), np.arange(n)] -= 1.0 / n
+    return value, grad
 
 
 def infonce_value_grad(z, zp, tau, sim=SIM_DOT, symmetric=True):
@@ -100,14 +130,14 @@ def infonce_value_grad(z, zp, tau, sim=SIM_DOT, symmetric=True):
     if n < 2:
         raise ContractViolation("infonce requires batch size >= 2")
     if sim == SIM_DOT:
-        logits = (z @ zp.T) / tau
+        logits = (z / tau) @ zp.T
         value, ds = nce_from_logits(logits, symmetric)
         return value, (ds @ zp) / tau, (ds.T @ z) / tau
     # cosine: normalize rows, differentiate through the normalization
     zn = np.maximum(np.linalg.norm(z, axis=1, keepdims=True), _NORM_FLOOR)
     zpn = np.maximum(np.linalg.norm(zp, axis=1, keepdims=True), _NORM_FLOOR)
     zh, zph = z / zn, zp / zpn
-    logits = (zh @ zph.T) / tau
+    logits = (zh / tau) @ zph.T
     value, ds = nce_from_logits(logits, symmetric)
     gzh = (ds @ zph) / tau
     gzph = (ds.T @ zh) / tau
@@ -190,41 +220,40 @@ def perc_loss(enc, batch, spec: ObjectiveSpec, rho_source=None):
     Returns (total, flat gradient, components) where ``components`` holds the
     weighted contribution of each active term and sums to the total.
     """
-    z = enc.forward(batch.x)
-    zp = enc.forward(batch.x_plus)
-    gz = np.zeros_like(z)
-    gzp = np.zeros_like(zp)
     components: dict[str, float] = {}
-    total = 0.0
 
-    if spec.beta_inv > 0:
-        v, g, gp = invariance_value_grad(z, zp)
-        components["inv"] = spec.beta_inv * v
-        gz += spec.beta_inv * g
-        gzp += spec.beta_inv * gp
-    if spec.use_nce:
-        v, g, gp = infonce_value_grad(z, zp, spec.tau, spec.sim, spec.symmetric_nce)
-        components["nce"] = v
-        gz += g
-        gzp += gp
-    if spec.w_var > 0:
-        v, g = variance_floor_value_grad(z, spec.gamma)
-        components["var"] = spec.w_var * v
-        gz += spec.w_var * g
-    if spec.w_cov > 0:
-        v, g = covariance_penalty_value_grad(z)
-        components["cov"] = spec.w_cov * v
-        gz += spec.w_cov * g
-    if spec.w_eq > 0:
-        if rho_source is None or getattr(rho_source, "rho", None) is None:
-            raise ConfigurationError("w_eq > 0 requires a transform family with rho")
-        mats = rho_batch(rho_source, batch.deltas, z.shape[1])
-        v, g, gp = equivariance_value_grad(z, zp, mats)
-        components["eq"] = spec.w_eq * v
-        gz += spec.w_eq * g
-        gzp += spec.w_eq * gp
+    def code_loss(z, zp):
+        gz = np.zeros_like(z)
+        gzp = np.zeros_like(zp)
+        if spec.beta_inv > 0:
+            v, g, gp = invariance_value_grad(z, zp)
+            components["inv"] = spec.beta_inv * v
+            gz += spec.beta_inv * g
+            gzp += spec.beta_inv * gp
+        if spec.use_nce:
+            v, g, gp = infonce_value_grad(z, zp, spec.tau, spec.sim,
+                                          spec.symmetric_nce)
+            components["nce"] = v
+            gz += g
+            gzp += gp
+        if spec.w_var > 0:
+            v, g = variance_floor_value_grad(z, spec.gamma)
+            components["var"] = spec.w_var * v
+            gz += spec.w_var * g
+        if spec.w_cov > 0:
+            v, g = covariance_penalty_value_grad(z)
+            components["cov"] = spec.w_cov * v
+            gz += spec.w_cov * g
+        if spec.w_eq > 0:
+            if rho_source is None or getattr(rho_source, "rho", None) is None:
+                raise ConfigurationError(
+                    "w_eq > 0 requires a transform family with rho")
+            mats = rho_batch(rho_source, batch.deltas, z.shape[1])
+            v, g, gp = equivariance_value_grad(z, zp, mats)
+            components["eq"] = spec.w_eq * v
+            gz += spec.w_eq * g
+            gzp += spec.w_eq * gp
+        return float(sum(components.values())), gz, gzp
 
-    total = float(sum(components.values()))
-    grad = enc.backprop_params(batch.x, gz)
-    grad += enc.backprop_params(batch.x_plus, gzp)
+    total, grad = param_gradient(enc, code_loss, batch.x, batch.x_plus)
     return total, grad, components

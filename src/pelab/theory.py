@@ -71,9 +71,6 @@ def _world_atoms(world: World, resolution: int | None):
     return world.discretized_atoms(resolution)
 
 
-REPRESENTATIONS = ("full", "good", "bad", "encoder")
-
-
 def bayes_risk(world: World, representation, loss: str,
                resolution: int | None = None, cell_tol: float = 1e-9) -> float:
     """Exact Bayes risk of predicting Y from a representation of X.
@@ -97,12 +94,6 @@ def bayes_risk(world: World, representation, loss: str,
     else:
         cells = it.rows_as_codes(representation.forward(atoms.x), cell_tol)
     return risk_of_cells(cells, atoms.weight, atoms.posterior, loss)
-
-
-def conditional_entropy_bits(world: World, representation,
-                             resolution: int | None = None) -> float:
-    """H(Y | representation) in bits; the log-loss Bayes risk."""
-    return bayes_risk(world, representation, LOSS_LOG, resolution)
 
 
 # ---------------------------------------------------------------------------

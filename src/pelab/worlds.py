@@ -182,9 +182,6 @@ class Batch:
     def n(self) -> int:
         return self.x.shape[0]
 
-    def without_labels(self) -> "Batch":
-        return Batch(self.x, self.x_plus, self.deltas, self.v, self.t, None)
-
 
 def sample_batch(world: World, n: int, rng: Rng, sampler=None,
                  with_labels: bool = True) -> Batch:

@@ -5,7 +5,8 @@ from pelab.errors import ContractViolation
 from pelab.numerics import (Encoder, Rng, finite_diff, identity_encoder,
                             load_params, make_encoder, param_gradient,
                             relative_l2_error, save_params)
-from pelab.objectives import invariance_value_grad
+from pelab.objectives import (covariance_penalty_value_grad,
+                              infonce_value_grad, invariance_value_grad)
 
 
 def test_forward_identity_map():
@@ -114,6 +115,31 @@ def test_param_gradient_matches_finite_differences(arch):
 
     fd = finite_diff(f, enc.get_flat_params(), 1e-5)
     assert relative_l2_error(grad, fd) <= 1e-4
+
+
+def _two_view_loss(z, zp):
+    v1, g1, g1p = infonce_value_grad(z, zp, tau=0.5, sim="cosine")
+    v2, g2, g2p = invariance_value_grad(z, zp)
+    return v1 + v2, g1 + g2, g1p + g2p
+
+
+@pytest.mark.parametrize("arch", ["linear", "mlp1"])
+@pytest.mark.parametrize("two_view", [False, True])
+def test_param_gradient_stacked_equals_separate_backprops(arch, two_view):
+    rng = Rng(17)
+    enc = make_encoder(arch, 2, 3, 6, rng)
+    x = rng.normal(size=(12, 2))
+    xp = rng.normal(size=(12, 2))
+    if two_view:
+        value, grad = param_gradient(enc, _two_view_loss, x, xp)
+        ref_value, gz, gzp = _two_view_loss(enc.forward(x), enc.forward(xp))
+        ref_grad = enc.backprop_params(x, gz) + enc.backprop_params(xp, gzp)
+    else:
+        value, grad = param_gradient(enc, covariance_penalty_value_grad, x)
+        ref_value, gz = covariance_penalty_value_grad(enc.forward(x))
+        ref_grad = enc.backprop_params(x, gz)
+    assert abs(value - ref_value) <= 1e-12
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12
 
 
 def test_finite_diff_quadratic():

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pelab import objectives
 from pelab.errors import ConfigurationError, ContractViolation
 from pelab.numerics import (Encoder, Rng, finite_diff, identity_encoder,
                             make_encoder, relative_l2_error)
-from pelab.objectives import (ObjectiveSpec, covariance_penalty,
+from pelab.objectives import (ObjectiveSpec, _softmax_ce_rows,
+                              covariance_penalty,
                               equivariance_loss, infonce_loss,
                               infonce_value_grad, invariance_loss,
                               nce_from_logits, perc_loss, variance_floor)
@@ -122,6 +124,60 @@ def test_infonce_perturbing_any_logit_changes_loss():
             bumped[i, j] = 1e-3
             value, _ = nce_from_logits(bumped)
             assert value != base, (i, j)
+
+
+def _two_pass_nce(logits):
+    v1, g1 = _softmax_ce_rows(logits)
+    v2, g2 = _softmax_ce_rows(logits.T)
+    return 0.5 * (v1 + v2), 0.5 * (g1 + g2.T)
+
+
+@pytest.fixture
+def two_pass_calls(monkeypatch):
+    """Counts calls of the per-row two-pass kernel made by nce_from_logits."""
+    calls = []
+
+    def spy(logits):
+        calls.append(logits.shape)
+        return _softmax_ce_rows(logits)
+
+    monkeypatch.setattr(objectives, "_softmax_ce_rows", spy)
+    return calls
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 300.0])
+@pytest.mark.parametrize("n", [2, 5, 64])
+def test_fused_symmetric_nce_matches_two_pass(scale, n, two_pass_calls):
+    # uniform on [-scale, scale]: the spread stays below 700, so the shared
+    # shift is taken even at scale 300
+    logits = Rng(n).uniform(-scale, scale, size=(n, n))
+    ref_value, ref_grad = _two_pass_nce(logits)
+    value, grad = nce_from_logits(logits)
+    assert two_pass_calls == []
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12
+
+
+def test_symmetric_nce_falls_back_beyond_shared_shift_range(two_pass_calls):
+    # under the global shift every entry of row 1 would underflow to 0
+    logits = np.array([[0.0, -800.0, -800.0],
+                       [-1000.0, -900.0, -1000.0],
+                       [-800.0, -800.0, -10.0]])
+    value, grad = nce_from_logits(logits)
+    assert len(two_pass_calls) == 2
+    ref_value, ref_grad = _two_pass_nce(logits)
+    assert np.isfinite(value) and np.all(np.isfinite(grad))
+    assert value == ref_value
+    assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("scale", [1.0, 1000.0])
+def test_nce_from_logits_leaves_input_unchanged(symmetric, scale):
+    logits = Rng(3).normal(0.0, scale, size=(16, 16))
+    before = logits.tobytes()
+    nce_from_logits(logits, symmetric)
+    assert logits.tobytes() == before
 
 
 def test_infonce_two_point_hand_value():
