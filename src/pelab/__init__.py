@@ -2,8 +2,8 @@
 representation certification, and numerical verification of the
 perception/decision separation theory."""
 
-from .errors import (ConfigurationError, ContractViolation, DivergenceError,
-                     NotApplicableError, PelabError)
+from .errors import (ConfigurationError, ContractViolation, DegenerateError,
+                     DivergenceError, NotApplicableError, PelabError)
 from .numerics import (Encoder, Rng, finite_diff, identity_encoder,
                        load_params, make_encoder, param_gradient,
                        relative_l2_error, save_params)
@@ -12,11 +12,11 @@ from .objectives import (ObjectiveSpec, covariance_penalty, equivariance_loss,
                          variance_floor)
 from .worlds import (Batch, World, export_batch_csv, make_bernoulli_uv_world,
                      make_rotation_world, make_six_nine_world, sample_batch)
-from .metrics import (Curve, MetricReport, MetricSuiteOptions, certify_encoder,
-                      disentanglement_nmi, fisher_trace, geometry_diagnostics,
-                      invariance_curve, leakage_probe, normalized_mi,
-                      probe_data_efficiency, separability, smoothness,
-                      sufficiency_surrogate)
+from .metrics import (Curve, MetricInputs, MetricReport, MetricSuiteOptions,
+                      certify, certify_encoder, disentanglement_nmi,
+                      fisher_trace, geometry_diagnostics, invariance_curve,
+                      leakage_probe, normalized_mi, probe_data_efficiency,
+                      separability, smoothness, sufficiency_surrogate)
 from .theory import (FactorThroughTFamily, TheoryVerdict, assumption_audit,
                      bayes_risk, bayes_risk_through_encoder,
                      orthogonality_check, over_invariance_check, risk_table,

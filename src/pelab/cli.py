@@ -9,7 +9,9 @@ usage/config error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +20,9 @@ from . import infotheory as it
 from . import theory
 from .config import ExperimentConfig, load_config, parse_config_text, schema_help
 from .errors import ConfigurationError, ContractViolation, PelabError
-from .metrics import (MetricReport, MetricSuiteOptions, certify_encoder,
-                      geometry_diagnostics, invariance_curve, leakage_probe,
-                      normalized_mi, radial_fisher, separability,
-                      sufficiency_surrogate, uniform_grid)
+from .metrics import (MetricInputs, MetricReport, MetricSuiteOptions, certify,
+                      certify_encoder, invariance_curve, uniform_grid)
 from .numerics import Rng, make_encoder
-from .probes import evaluate_probe, fit_linear_probe
 from .svg import render_curve_svg
 from .trainer import train_perception
 from .worlds import WORLD_BUILDERS
@@ -68,19 +67,13 @@ def _light_snapshot(enc, world, opts, chash: str, seed: int,
                     step: int) -> MetricReport:
     """Cheap mid-training snapshot: invariance AUC and code geometry only.
     Deterministic per (seed, step)."""
-    snap = MetricReport(config_hash=chash, seed=seed)
-    snap.notes.append(f"training snapshot at step {step}")
+    opts = replace(opts, n=min(opts.n, 2048))
     rng = Rng(seed * 1_000_003 + step)
-    z = enc.forward(world.sample_x(rng, min(opts.n, 2048)))
-    geo = geometry_diagnostics(z, opts.gamma)
-    snap.add("per_dim_variance", value=float(min(geo["per_dim_variance"])),
-             per_dim=geo["per_dim_variance"])
-    snap.add("cov_offdiag", value=geo["cov_offdiag"])
-    if getattr(world.transforms, "magnitude_parameterized", False):
-        curve = invariance_curve(
-            enc, world, uniform_grid(opts.curve_alpha_max, opts.curve_points),
-            min(opts.n, 2048), rng)
-        snap.add("invariance_auc", value=curve.auc, step=step)
+    z = enc.forward(world.sample_x(rng, opts.n))
+    snap = certify(MetricInputs(z=z, encoder=enc, world=world), opts,
+                   {"invariance_auc": rng}, names=("geometry", "invariance_auc"),
+                   config_hash=chash, seed=seed)
+    snap.notes.append(f"training snapshot at step {step}")
     return snap
 
 
@@ -209,10 +202,15 @@ def _read_embeddings_csv(path: Path) -> dict:
                     f"{path}: row {lineno}: expected {len(header)} columns, "
                     f"got {len(parts)}")
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError as exc:
                 raise ContractViolation(
                     f"{path}: row {lineno}: {exc}") from None
+            bad = [h for h, c in zip(header, row) if not math.isfinite(c)]
+            if bad:
+                raise ContractViolation(
+                    f"{path}: row {lineno}, column {bad[0]}: non-finite value")
+            rows.append(row)
     if not rows:
         raise ContractViolation(f"{path}: no data rows")
     data = np.asarray(rows)
@@ -239,100 +237,19 @@ def _read_embeddings_csv(path: Path) -> dict:
 def cmd_certify(embeddings_path: Path, cfg: ExperimentConfig, out: Path,
                 quiet: bool) -> int:
     data = _read_embeddings_csv(embeddings_path)
-    z, v, t, y, x = data["z"], data["v"], data["t"], data["y"], data["x"]
-    seed = cfg["seed"]
-    rng = Rng(seed)
-    probe_rng, _ = rng.split(2)
-    report = MetricReport(config_hash=cfg.config_hash(), seed=seed)
-
-    geo = geometry_diagnostics(z, cfg["objective.gamma"])
-    report.add("var_floor_violation", value=geo["var_floor_violation"],
-               gamma=cfg["objective.gamma"])
-    report.add("cov_offdiag", value=geo["cov_offdiag"])
-    report.add("per_dim_variance", value=float(min(geo["per_dim_variance"])),
-               per_dim=geo["per_dim_variance"])
-
-    nuisance = v
-    nuisance_name = "v"
-    if nuisance is None and data["alpha"] is not None:
-        nuisance = it.quantile_codes(data["alpha"], cfg["metrics.mi_bins"])
-        nuisance_name = "alpha (quantile-binned)"
-    if nuisance is not None:
-        def run_leak():
-            res = leakage_probe(z, nuisance, probe_rng)
-            report.add("leakage_probe_auc", value=res["auc"],
-                       leakage_score=res["leakage_score"], error=res["error"],
-                       nuisance=nuisance_name)
-
-        def run_nmi():
-            report.add("normalized_mi",
-                       value=normalized_mi(z, nuisance,
-                                           n_bins=cfg["metrics.mi_bins"]),
-                       nuisance=nuisance_name)
-
-        report.record("leakage_probe_auc", run_leak)
-        report.record("normalized_mi", run_nmi)
-    else:
-        report.add("leakage_probe_auc", status="not_applicable",
-                   reason="no v or alpha column")
-        report.add("normalized_mi", status="not_applicable",
-                   reason="no v or alpha column")
-
-    if t is None:
-        report.add("sufficiency_cmi_bits", status="not_applicable",
-                   reason="no t column")
-        report.add("mmd2", status="not_applicable", reason="no t column")
-        report.add("fisher_ratio", status="not_applicable", reason="no t column")
-    else:
-        if x is None:
-            report.add("sufficiency_cmi_bits", status="not_applicable",
-                       reason="no x_ columns (inputs required for I(X;Z|T))")
-        else:
-            report.record("sufficiency_cmi_bits", lambda: report.add(
-                "sufficiency_cmi_bits", value=sufficiency_surrogate(z, x, t)))
-
-        def run_sep():
-            from .metrics import _two_orbit_groups
-            groups = _two_orbit_groups(z, t)
-            if groups is None:
-                report.add("mmd2", status="not_applicable",
-                           reason="need two orbit groups with >= 20 samples")
-                report.add("fisher_ratio", status="not_applicable",
-                           reason="need two orbit groups with >= 20 samples")
-                return
-            res = separability(*groups)
-            report.add("mmd2", value=res["mmd2"], bandwidth_sq=res["bandwidth_sq"])
-            fr = res["fisher_ratio"]
-            report.add("fisher_ratio",
-                       value=fr if np.isfinite(fr) else None,
-                       status="ok" if np.isfinite(fr) else "degenerate")
-            rf = radial_fisher(*groups)
-            report.add("radial_fisher", value=rf if np.isfinite(rf) else None,
-                       interpretation="fisher ratio on code norms")
-
-        report.record("separability", run_sep)
-
-    if y is not None and np.unique(y).size >= 2:
-        def run_probe():
-            n = z.shape[0]
-            perm = probe_rng.permutation(n)
-            n_test = max(1, int(round(0.3 * n)))
-            test_ix, train_ix = perm[:n_test], perm[n_test:]
-            head = fit_linear_probe(z[train_ix], y[train_ix], probe_rng)
-            ev = evaluate_probe(head, z[test_ix], y[test_ix])
-            report.add("label_probe_accuracy", value=ev.accuracy, auc=ev.auc,
-                       secondary=True)
-
-        report.record("label_probe_accuracy", run_probe)
-    else:
-        report.add("label_probe_accuracy", status="not_applicable",
-                   reason="no y column (or single class)")
-
-    for name in ("invariance_auc", "smoothness", "fisher_trace",
-                 "disentanglement_nmi"):
-        report.add(name, status="not_applicable",
-                   reason="requires the encoder / generative factors")
-
+    v, notes = data["v"], []
+    if v is None and data["alpha"] is not None:
+        v = it.quantile_codes(data["alpha"], cfg["metrics.mi_bins"])
+        notes.append("nuisance v is the alpha column, quantile-binned")
+    # one stream: the leakage probe draws from it first, the label probe next
+    probe_rng, _ = Rng(cfg["seed"]).split(2)
+    report = certify(
+        MetricInputs(z=data["z"], x=data["x"], t=data["t"], v=v, y=data["y"]),
+        MetricSuiteOptions(gamma=cfg["objective.gamma"],
+                           mi_bins=cfg["metrics.mi_bins"]),
+        {"leakage_probe_auc": probe_rng, "label_probe_accuracy": probe_rng},
+        config_hash=cfg.config_hash(), seed=cfg["seed"])
+    report.notes += notes
     _write(out / "report.json", report.to_json(), quiet)
     return 0
 

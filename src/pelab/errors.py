@@ -10,6 +10,13 @@ class ContractViolation(PelabError, ValueError):
     (dimension mismatch, empty batch, single-class targets, ...)."""
 
 
+class DegenerateError(ContractViolation):
+    """The data fail a metric's precondition (too few rows, a single-class
+    nuisance, too few samples per orbit group, ...).  ``metrics.certify``
+    records a degenerate entry with the reason; direct callers see a
+    ContractViolation."""
+
+
 class ConfigurationError(PelabError, ValueError):
     """A configuration is internally inconsistent or refers to something
     the selected world/encoder does not provide (e.g. a missing rho)."""

@@ -3,22 +3,26 @@
 The suite covers invariance curves with AUC summaries, nuisance leakage
 (probe AUC and normalized mutual information), smoothness, geometry
 diagnostics, factor disentanglement, nuisance Fisher trace, a sufficiency
-surrogate, two-sample separability, and secondary linear-probe
-data-efficiency.  Results are assembled into a MetricReport whose
-serialization is byte-deterministic for fixed config and seed.
+surrogate, two-sample separability, and secondary label probes.
+
+Each metric is defined once, in ``REGISTRY``, by the inputs it needs and the
+body that adds its report entries.  ``certify`` runs the registry over one
+``MetricInputs``; the frozen-encoder suite, the external-CSV audit and the
+training snapshots differ only in the inputs they build.  Results are
+assembled into a MetricReport whose serialization is byte-deterministic for
+fixed config and seed.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import infotheory as it
-from .errors import ContractViolation, NotApplicableError
+from .errors import ContractViolation, DegenerateError, NotApplicableError
 from .numerics import Encoder, Rng
 from .objectives import covariance_penalty_value_grad, variance_floor_value_grad
 from .probes import fit_linear_probe, evaluate_probe, probe_split_evaluate
@@ -86,6 +90,11 @@ def uniform_grid(alpha_max: float, points: int) -> np.ndarray:
 # Leakage
 # ---------------------------------------------------------------------------
 
+# below this many rows a held-out probe AUC or a plug-in MI over up to
+# n_bins**max_dims cells is mostly estimator noise
+_NUISANCE_N_MIN = 100
+
+
 def leakage_probe(zbatch, v, rng: Rng, test_frac: float = 0.3) -> dict:
     """Linear logistic probe predicting the nuisance from the code.
 
@@ -96,11 +105,11 @@ def leakage_probe(zbatch, v, rng: Rng, test_frac: float = 0.3) -> dict:
     z = np.asarray(zbatch, dtype=np.float64)
     if z.ndim == 1:
         z = z[:, None]
-    if z.shape[0] < 100:
-        raise ContractViolation("leakage probe requires n >= 100")
+    if z.shape[0] < _NUISANCE_N_MIN:
+        raise DegenerateError(f"leakage probe requires n >= {_NUISANCE_N_MIN}")
     v_codes = it.codes_of(v)
     if np.unique(v_codes).size < 2:
-        raise ContractViolation("AUC is undefined for a single-class nuisance")
+        raise DegenerateError("AUC is undefined for a single-class nuisance")
     _, ev = probe_split_evaluate(z, v_codes, rng, test_frac=test_frac)
     return {"auc": ev.auc, "error": ev.error,
             "leakage_score": float(abs(ev.auc - 0.5) * 2.0),
@@ -110,12 +119,14 @@ def leakage_probe(zbatch, v, rng: Rng, test_frac: float = 0.3) -> dict:
 def normalized_mi(zbatch, v, n_bins: int = 8, max_dims: int = 2) -> float:
     """Plug-in I(binned Z; V) / H(V); quantile bins on at most ``max_dims``
     leading principal directions."""
+    z = np.asarray(zbatch, dtype=np.float64)
+    if z.shape[0] < _NUISANCE_N_MIN:
+        raise DegenerateError(f"normalized MI requires n >= {_NUISANCE_N_MIN}")
     v_codes = it.codes_of(v)
     h_v = it.entropy_bits(v_codes)
     if h_v <= 0.0:
-        raise ContractViolation("H(V) = 0: normalized MI undefined")
-    z_codes = it.discretize_codes(np.asarray(zbatch, dtype=np.float64),
-                                  n_bins=n_bins, max_dims=max_dims)
+        raise DegenerateError("H(V) = 0: normalized MI undefined")
+    z_codes = it.discretize_codes(z, n_bins=n_bins, max_dims=max_dims)
     return it.mutual_information_bits(z_codes, v_codes) / h_v
 
 
@@ -249,17 +260,21 @@ def _as_samples(z) -> np.ndarray:
     return z[:, None] if z.ndim == 1 else z
 
 
+def _fisher_ratio(a: np.ndarray, b: np.ndarray) -> float:
+    """Squared mean gap over summed within-group variance (inf when the
+    groups have no spread)."""
+    if a.shape[0] < 20 or b.shape[0] < 20:
+        raise DegenerateError("separability requires >= 20 samples per group")
+    within = float(np.sum(a.var(axis=0, ddof=1)) + np.sum(b.var(axis=0, ddof=1)))
+    gap = float(np.sum((a.mean(axis=0) - b.mean(axis=0)) ** 2))
+    return gap / within if within > 0 else float("inf")
+
+
 def separability(zbatch_a, zbatch_b) -> dict:
     """Fisher ratio and unbiased RBF-kernel MMD^2 between two code groups."""
     a, b = _as_samples(zbatch_a), _as_samples(zbatch_b)
     m, n = a.shape[0], b.shape[0]
-    if m < 20 or n < 20:
-        raise ContractViolation("separability requires >= 20 samples per group")
-
-    mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
-    within = float(np.sum(a.var(axis=0, ddof=1)) + np.sum(b.var(axis=0, ddof=1)))
-    gap = float(np.sum((mu_a - mu_b) ** 2))
-    fisher = gap / within if within > 0 else float("inf")
+    fisher = _fisher_ratio(a, b)
 
     h2 = median_bandwidth_sq(np.vstack([a, b]))
     kaa = np.exp(-_sq_dists(a, a) / (2.0 * h2))
@@ -277,7 +292,7 @@ def radial_fisher(zbatch_a, zbatch_b) -> float:
     separability diagnostic; flagged as such in reports)."""
     na = np.linalg.norm(_as_samples(zbatch_a), axis=1)
     nb = np.linalg.norm(_as_samples(zbatch_b), axis=1)
-    return separability(na, nb)["fisher_ratio"]
+    return _fisher_ratio(na[:, None], nb[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -340,20 +355,14 @@ class MetricReport:
     seed: int = 0
 
     def add(self, name: str, value=None, status="ok", **detail):
-        self.metrics[name] = MetricEntry(value=value, status=status, detail=detail)
-
-    def record(self, name: str, fn):
-        """Run a metric body; map NotApplicableError to a recorded entry."""
+        """Record one entry; an entry whose value or detail holds a
+        non-finite number is recorded as degenerate with a null value."""
         try:
-            fn()
-        except NotApplicableError as exc:
-            self.add(name, status="not_applicable", reason=str(exc))
-
-    def validate(self):
-        for name, entry in self.metrics.items():
-            if entry.status == "ok" and entry.value is not None \
-                    and not np.isfinite(entry.value):
-                raise ContractViolation(f"metric {name!r} reported a non-finite value")
+            json.dumps([value, detail], allow_nan=False)
+        except ValueError:
+            value, status, detail = None, "degenerate", {
+                "reason": "non-finite value or detail"}
+        self.metrics[name] = MetricEntry(value=value, status=status, detail=detail)
 
     def to_json(self) -> str:
         doc = {
@@ -364,7 +373,7 @@ class MetricReport:
             "theory": self.theory,
             "notes": self.notes,
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "MetricReport":
@@ -374,14 +383,6 @@ class MetricReport:
         rep.metrics = {k: MetricEntry.from_dict(v) for k, v in doc["metrics"].items()}
         rep.curves = {k: Curve.from_dict(v) for k, v in doc["curves"].items()}
         return rep
-
-
-def worker_count() -> int:
-    """Worker cap for concurrent metric evaluation (PEL_THREADS, default 1)."""
-    try:
-        return max(1, int(os.environ.get("PEL_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -396,120 +397,194 @@ class MetricSuiteOptions:
     run_probe_efficiency: bool = True
 
 
-def certify_encoder(enc: Encoder, world: World, opts: MetricSuiteOptions,
-                    rng: Rng, config_hash: str = "", seed: int = 0) -> MetricReport:
-    """Run the full certification suite on a frozen encoder.
+# ---------------------------------------------------------------------------
+# Registry
+# ---------------------------------------------------------------------------
 
-    Each metric draws from its own pre-split RNG substream, so results do not
-    depend on evaluation order or on the PEL_THREADS worker count.
+@dataclass
+class MetricInputs:
+    """What a source of codes offers the registry; None marks an input the
+    source does not have."""
+    z: np.ndarray
+    x: np.ndarray | None = None
+    t: np.ndarray | None = None
+    v: np.ndarray | None = None
+    y: np.ndarray | None = None
+    encoder: Encoder | None = None
+    world: World | None = None
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One registry entry.  ``body(inputs, opts, rng, report)`` adds the
+    report entries named by ``entries`` (default: ``name``); it runs only
+    when every input named in ``needs`` is present."""
+    name: str
+    needs: tuple
+    body: Callable
+    entries: tuple = ()
+
+
+def _invariance_body(inp, opts, rng, report):
+    curve = invariance_curve(
+        inp.encoder, inp.world,
+        uniform_grid(opts.curve_alpha_max, opts.curve_points), opts.n, rng)
+    report.curves["invariance"] = curve
+    report.add("invariance_auc", value=curve.auc,
+               grid_points=opts.curve_points, alpha_max=opts.curve_alpha_max,
+               n=opts.n)
+
+
+def _leakage_body(inp, opts, rng, report):
+    res = leakage_probe(inp.z, inp.v, rng)
+    report.add("leakage_probe_auc", value=res["auc"],
+               leakage_score=res["leakage_score"], error=res["error"],
+               n_heldout=res["n_heldout"])
+
+
+def _nmi_body(inp, opts, rng, report):
+    report.add("normalized_mi",
+               value=normalized_mi(inp.z, inp.v, n_bins=opts.mi_bins),
+               bins=opts.mi_bins, n=inp.z.shape[0])
+
+
+def _smoothness_body(inp, opts, rng, report):
+    report.add("smoothness",
+               value=smoothness(inp.encoder, inp.world, opts.n, rng), n=opts.n)
+
+
+def _geometry_body(inp, opts, rng, report):
+    geo = geometry_diagnostics(inp.z, opts.gamma)
+    report.add("var_floor_violation", value=geo["var_floor_violation"],
+               gamma=opts.gamma)
+    report.add("cov_offdiag", value=geo["cov_offdiag"])
+    report.add("per_dim_variance", value=float(min(geo["per_dim_variance"])),
+               per_dim=geo["per_dim_variance"])
+
+
+def _disentanglement_body(inp, opts, rng, report):
+    world = inp.world
+    if world.factors is None:
+        raise NotApplicableError("world exposes no generative factors")
+    res = disentanglement_nmi(inp.z, world.factors(inp.x), n_bins=opts.mi_bins)
+    report.add("disentanglement_nmi", value=res["score"],
+               best_nmi_per_factor=res["best_nmi_per_factor"],
+               skipped_constant_factors=res["skipped_constant_factors"],
+               factor_names=world.factor_names)
+
+
+def _fisher_trace_body(inp, opts, rng, report):
+    report.add("fisher_trace",
+               value=fisher_trace(inp.encoder, inp.world, opts.n, rng), n=opts.n)
+
+
+def _sufficiency_body(inp, opts, rng, report):
+    report.add("sufficiency_cmi_bits",
+               value=sufficiency_surrogate(inp.z, inp.x, inp.t))
+
+
+def _separability_body(inp, opts, rng, report):
+    groups = _two_orbit_groups(inp.z, inp.t)
+    if groups is None:
+        raise DegenerateError("need two orbit groups with >= 20 samples")
+    res = separability(*groups)
+    report.add("fisher_ratio", value=res["fisher_ratio"],
+               bandwidth_sq=res["bandwidth_sq"])
+    report.add("mmd2", value=res["mmd2"], bandwidth_sq=res["bandwidth_sq"])
+    report.add("radial_fisher", value=radial_fisher(*groups),
+               interpretation="fisher ratio on code norms")
+
+
+def _probe_efficiency_body(inp, opts, rng, report):
+    if not opts.run_probe_efficiency:
+        raise NotApplicableError("probe efficiency disabled")
+    res = probe_data_efficiency(inp.encoder, inp.world, opts.probe_budgets,
+                                rng, pool_n=opts.probe_pool_n)
+    report.add("probe_data_efficiency",
+               value=res["accuracy_per_budget"][str(max(opts.probe_budgets))],
+               accuracy_per_budget=res["accuracy_per_budget"], secondary=True)
+
+
+def _label_probe_body(inp, opts, rng, report):
+    if np.unique(inp.y).size < 2:
+        raise DegenerateError("y has a single class")
+    _, ev = probe_split_evaluate(inp.z, inp.y, rng)
+    report.add("label_probe_accuracy", value=ev.accuracy, auc=ev.auc,
+               secondary=True)
+
+
+# Fixed evaluation order.  Only metrics that share a stream depend on it: the
+# CSV path draws the leakage probe and then the label probe from one stream.
+REGISTRY = (
+    Metric("invariance_auc", ("encoder", "world"), _invariance_body),
+    Metric("leakage_probe_auc", ("z", "v"), _leakage_body),
+    Metric("normalized_mi", ("z", "v"), _nmi_body),
+    Metric("smoothness", ("encoder", "world"), _smoothness_body),
+    Metric("geometry", ("z",), _geometry_body,
+           ("var_floor_violation", "cov_offdiag", "per_dim_variance")),
+    Metric("disentanglement_nmi", ("z", "x", "world"), _disentanglement_body),
+    Metric("fisher_trace", ("encoder", "world"), _fisher_trace_body),
+    Metric("sufficiency_cmi_bits", ("z", "x", "t"), _sufficiency_body),
+    Metric("separability", ("z", "t"), _separability_body,
+           ("fisher_ratio", "mmd2", "radial_fisher")),
+    Metric("probe_data_efficiency", ("encoder", "world"),
+           _probe_efficiency_body),
+    Metric("label_probe_accuracy", ("z", "y"), _label_probe_body),
+)
+
+
+def certify(inputs: MetricInputs, opts: MetricSuiteOptions, streams: dict,
+            names=None, config_hash: str = "", seed: int = 0) -> MetricReport:
+    """Run the registry (only the metrics in ``names``, when given).
+
+    ``streams`` maps a metric name to the Rng its body draws from.  A metric
+    with a missing input, or whose body raises NotApplicableError, gets a
+    not_applicable entry; one whose data fail a precondition
+    (DegenerateError) gets a degenerate entry.  Both record the reason; any
+    other error propagates to the caller.
     """
     report = MetricReport(config_hash=config_hash, seed=seed)
-    streams = rng.split(8)
-    batch = sample_batch(world, opts.n, streams[0])
-    z = enc.forward(batch.x)
-
-    def run_curve():
-        curve = invariance_curve(
-            enc, world, uniform_grid(opts.curve_alpha_max, opts.curve_points),
-            opts.n, streams[1])
-        report.curves["invariance"] = curve
-        report.add("invariance_auc", value=curve.auc,
-                   grid_points=opts.curve_points,
-                   alpha_max=opts.curve_alpha_max, n=opts.n)
-
-    def run_leakage():
-        if batch.v is None:
-            raise NotApplicableError("world exposes no nuisance variable")
-        res = leakage_probe(z, _discrete_nuisance(batch.v), streams[2])
-        report.add("leakage_probe_auc", value=res["auc"],
-                   leakage_score=res["leakage_score"], error=res["error"],
-                   n_heldout=res["n_heldout"])
-
-    def run_nmi():
-        if batch.v is None:
-            raise NotApplicableError("world exposes no nuisance variable")
-        val = normalized_mi(z, _discrete_nuisance(batch.v), n_bins=opts.mi_bins)
-        report.add("normalized_mi", value=val, bins=opts.mi_bins, n=opts.n)
-
-    def run_smoothness():
-        report.add("smoothness", value=smoothness(enc, world, opts.n, streams[3]),
-                   n=opts.n)
-
-    def run_geometry():
-        geo = geometry_diagnostics(z, opts.gamma)
-        report.add("var_floor_violation", value=geo["var_floor_violation"],
-                   gamma=opts.gamma)
-        report.add("cov_offdiag", value=geo["cov_offdiag"])
-        report.add("per_dim_variance", value=float(min(geo["per_dim_variance"])),
-                   per_dim=geo["per_dim_variance"])
-
-    def run_disentanglement():
-        if world.factors is None:
-            raise NotApplicableError("world exposes no generative factors")
-        res = disentanglement_nmi(z, world.factors(batch.x), n_bins=opts.mi_bins)
-        report.add("disentanglement_nmi", value=res["score"],
-                   best_nmi_per_factor=res["best_nmi_per_factor"],
-                   skipped_constant_factors=res["skipped_constant_factors"],
-                   factor_names=world.factor_names)
-
-    def run_fisher():
-        report.add("fisher_trace",
-                   value=fisher_trace(enc, world, opts.n, streams[4]), n=opts.n)
-
-    def run_sufficiency():
-        report.add("sufficiency_cmi_bits",
-                   value=sufficiency_surrogate(z, batch.x, batch.t))
-
-    def run_separability():
-        groups = _two_orbit_groups(z, batch.t)
-        if groups is None:
-            raise NotApplicableError("need two orbit groups with >= 20 samples")
-        za, zb = groups
-        res = separability(za, zb)
-        report.add("fisher_ratio", value=_finite_or_none(res["fisher_ratio"]),
-                   status="degenerate" if not np.isfinite(res["fisher_ratio"]) else "ok",
-                   bandwidth_sq=res["bandwidth_sq"])
-        report.add("mmd2", value=res["mmd2"], bandwidth_sq=res["bandwidth_sq"])
-        report.add("radial_fisher", value=_finite_or_none(radial_fisher(za, zb)),
-                   interpretation="fisher ratio on code norms")
-
-    def run_probe_eff():
-        if not opts.run_probe_efficiency:
-            raise NotApplicableError("probe efficiency disabled")
-        res = probe_data_efficiency(enc, world, opts.probe_budgets, streams[5],
-                                    pool_n=opts.probe_pool_n)
-        report.add("probe_data_efficiency",
-                   value=res["accuracy_per_budget"][str(max(opts.probe_budgets))],
-                   accuracy_per_budget=res["accuracy_per_budget"],
-                   secondary=True)
-
-    jobs = [("invariance_auc", run_curve), ("leakage_probe_auc", run_leakage),
-            ("normalized_mi", run_nmi), ("smoothness", run_smoothness),
-            ("geometry", run_geometry), ("disentanglement_nmi", run_disentanglement),
-            ("fisher_trace", run_fisher), ("sufficiency_cmi_bits", run_sufficiency),
-            ("separability", run_separability),
-            ("probe_data_efficiency", run_probe_eff)]
-
-    workers = worker_count()
-    if workers > 1:
-        # metrics are read-only over the encoder; report.record is the only
-        # shared write and each job touches distinct keys
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(report.record, name, fn) for name, fn in jobs]
-            for f in futures:
-                f.result()
-    else:
-        for name, fn in jobs:
-            report.record(name, fn)
-
-    report.notes.append("fisher_trace/invariance_auc are Euclidean functionals "
-                        "and metric-dependent under reparameterization")
-    report.validate()
+    for metric in REGISTRY:
+        if names is not None and metric.name not in names:
+            continue
+        missing = [k for k in metric.needs if getattr(inputs, k) is None]
+        try:
+            if missing:
+                raise NotApplicableError(f"missing input: {', '.join(missing)}")
+            metric.body(inputs, opts, streams.get(metric.name), report)
+            continue
+        except NotApplicableError as exc:
+            status, reason = "not_applicable", str(exc)
+        except DegenerateError as exc:
+            status, reason = "degenerate", str(exc)
+        for entry in metric.entries or (metric.name,):
+            report.add(entry, status=status, reason=reason)
     return report
 
 
-def _finite_or_none(x: float):
-    return float(x) if np.isfinite(x) else None
+def certify_encoder(enc: Encoder, world: World, opts: MetricSuiteOptions,
+                    rng: Rng, config_hash: str = "", seed: int = 0) -> MetricReport:
+    """Run the certification suite on a frozen encoder.
+
+    Each metric draws from its own pre-split RNG substream, so results do not
+    depend on evaluation order.  The suite is label-free apart from
+    probe_data_efficiency, so metrics that read ``y`` are left out.
+    """
+    streams = rng.split(8)
+    batch = sample_batch(world, opts.n, streams[0])
+    inputs = MetricInputs(
+        z=enc.forward(batch.x), x=batch.x, t=batch.t,
+        v=None if batch.v is None else _discrete_nuisance(batch.v),
+        encoder=enc, world=world)
+    report = certify(
+        inputs, opts,
+        dict(zip(("invariance_auc", "leakage_probe_auc", "smoothness",
+                  "fisher_trace", "probe_data_efficiency"), streams[1:])),
+        names=[m.name for m in REGISTRY if "y" not in m.needs],
+        config_hash=config_hash, seed=seed)
+    report.notes.append("fisher_trace/invariance_auc are Euclidean functionals "
+                        "and metric-dependent under reparameterization")
+    return report
 
 
 def _discrete_nuisance(v: np.ndarray, n_bins: int = 8) -> np.ndarray:
@@ -534,8 +609,6 @@ def _cap_group(z: np.ndarray) -> np.ndarray:
 def _two_orbit_groups(z: np.ndarray, t) -> tuple | None:
     """Split codes into two groups by orbit statistic (the two most common
     ids for discrete t, below/above the median for continuous t)."""
-    if t is None:
-        return None
     t = np.asarray(t, dtype=np.float64)
     if t.ndim > 1:
         t_codes = it.rows_as_codes(t)

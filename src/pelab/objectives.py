@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError, ContractViolation, DegenerateError
 from .numerics import param_gradient
 from .worlds import rho_batch
 
@@ -154,7 +154,7 @@ def variance_floor_value_grad(z, gamma):
     """
     n = z.shape[0]
     if n < 2:
-        raise ContractViolation("variance floor requires n >= 2")
+        raise DegenerateError("variance floor requires n >= 2")
     centered = z - z.mean(axis=0)
     var = np.sum(centered * centered, axis=0) / (n - 1)
     active = var < gamma
@@ -170,7 +170,7 @@ def covariance_penalty_value_grad(z):
     """Sum of squared off-diagonal covariance entries (both orderings)."""
     n = z.shape[0]
     if n < 2:
-        raise ContractViolation("covariance penalty requires n >= 2")
+        raise DegenerateError("covariance penalty requires n >= 2")
     centered = z - z.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
     off = cov - np.diag(np.diag(cov))

@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from pelab.cli import main
 from pelab.config import SCHEMA, parse_config_text, schema_help
 from pelab.errors import ConfigurationError
-from pelab.numerics import Rng
+from pelab.metrics import MetricInputs, MetricSuiteOptions, certify
+from pelab.numerics import Rng, make_encoder
 from pelab.worlds import make_bernoulli_uv_world, sample_batch
 
 
@@ -108,6 +110,40 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
     assert ":2: unknown key" in capsys.readouterr().err
 
 
+def test_run_probe_budget_above_pool_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "pool.cfg"
+    cfg.write_text("world.kind = bernoulli_uv\nencoder.arch = linear\n"
+                   "encoder.d_z = 2\ntrain.steps = 0\nmetrics.n = 500\n"
+                   "metrics.probe_budgets = 64,256\nmetrics.probe_pool = 100\n")
+    out = tmp_path / "run"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+    assert "exceeds available pool" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_run_training_snapshots_byte_identical(tmp_path):
+    cfg = tmp_path / "snap.cfg"
+    cfg.write_text("seed = 2\nworld.kind = rotation\nencoder.arch = mlp1\n"
+                   "encoder.d_hidden = 8\ntrain.steps = 20\n"
+                   "train.batch_size = 64\ntrain.eval_every = 10\n"
+                   "metrics.enabled = false\nmetrics.n = 256\n"
+                   "metrics.curve_points = 5\n")
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run_cli("run", "--config", str(cfg), "--out", str(out),
+                       "--quiet") == 0
+    names = sorted(p.name for p in (outs[0] / "snapshots").iterdir())
+    assert names == ["step_10.json", "step_20.json"]
+    for name in names:
+        first = (outs[0] / "snapshots" / name).read_bytes()
+        assert first == (outs[1] / "snapshots" / name).read_bytes()
+    m = json.loads(first)["metrics"]
+    assert sorted(m) == ["cov_offdiag", "invariance_auc", "per_dim_variance",
+                         "var_floor_violation"]
+    assert all(e["status"] == "ok" for e in m.values())
+    assert m["invariance_auc"]["detail"]["n"] == 256
+
+
 def test_run_missing_config_exits_2(tmp_path):
     assert run_cli("run", "--config", "no_such_config",
                    "--out", str(tmp_path)) == 2
@@ -163,6 +199,84 @@ def test_certify_missing_t_marks_not_applicable(tmp_path):
     m = json.loads((out / "report.json").read_text())["metrics"]
     assert m["sufficiency_cmi_bits"]["status"] == "not_applicable"
     assert m["mmd2"]["status"] == "not_applicable"
+
+
+def test_certify_small_csv_reports_degenerate_probes(tmp_path):
+    csv = tmp_path / "emb.csv"
+    _write_embeddings(csv)
+    lines = csv.read_text().splitlines()[:51]
+    csv.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "cert"
+    assert run_cli("certify", str(csv), "--out", str(out), "--quiet") == 0
+    m = json.loads((out / "report.json").read_text())["metrics"]
+    for name in ("var_floor_violation", "cov_offdiag", "per_dim_variance"):
+        assert m[name]["status"] == "ok"
+    for name in ("leakage_probe_auc", "normalized_mi"):
+        assert m[name]["status"] == "degenerate"
+        assert m[name]["value"] is None
+        assert "n >= 100" in m[name]["detail"]["reason"]
+
+    csv.write_text("\n".join(lines[:2]) + "\n")
+    assert run_cli("certify", str(csv), "--out", str(out), "--quiet") == 0
+    m = json.loads((out / "report.json").read_text())["metrics"]
+    assert m["per_dim_variance"]["status"] == "degenerate"
+    assert "n >= 2" in m["per_dim_variance"]["detail"]["reason"]
+
+
+def test_certify_non_finite_cell_exits_2(tmp_path, capsys):
+    csv = tmp_path / "emb.csv"
+    _write_embeddings(csv)
+    lines = csv.read_text().splitlines()
+    lines[4] = "nan," + lines[4].split(",", 1)[1]
+    csv.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "cert"
+    assert run_cli("certify", str(csv), "--out", str(out)) == 2
+    assert "row 5, column z_0" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_certify_overflowing_codes_report_degenerate(tmp_path):
+    csv = tmp_path / "huge.csv"
+    rows = [f"{1e200 * (-1) ** i * (i % 7)!r},{i % 5!r},{i % 2}"
+            for i in range(200)]
+    csv.write_text("z_0,z_1,v\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "cert"
+    with np.errstate(all="ignore"):
+        assert run_cli("certify", str(csv), "--out", str(out), "--quiet") == 0
+    m = json.loads((out / "report.json").read_text(),
+                   parse_constant=lambda c: pytest.fail(f"JSON constant {c}"))
+    assert m["metrics"]["per_dim_variance"]["status"] == "degenerate"
+    assert m["metrics"]["per_dim_variance"]["value"] is None
+
+
+def test_certify_csv_matches_registry_on_world_arrays(tmp_path):
+    world = make_bernoulli_uv_world()
+    batch = sample_batch(world, 3000, Rng(8))
+    z = make_encoder("mlp1", world.d_x, 3, 8, Rng(9),
+                     init_scale=4.0).forward(batch.x)
+    csv = tmp_path / "emb.csv"
+    cols = [z[:, 0], z[:, 1], z[:, 2], batch.x[:, 0], batch.x[:, 1],
+            batch.v, batch.t]
+    with open(csv, "w") as fh:
+        fh.write("z_0,z_1,z_2,x_0,x_1,v,t\n")
+        for row in zip(*cols):
+            fh.write(",".join(repr(float(c)) for c in row) + "\n")
+    out = tmp_path / "cert"
+    assert run_cli("certify", str(csv), "--out", str(out), "--quiet") == 0
+    from_csv = json.loads((out / "report.json").read_text())["metrics"]
+
+    defaults = parse_config_text("")
+    opts = MetricSuiteOptions(gamma=defaults["objective.gamma"],
+                              mi_bins=defaults["metrics.mi_bins"])
+    direct = certify(MetricInputs(z=z, x=batch.x, t=batch.t, v=batch.v),
+                     opts, {}, names=("geometry", "normalized_mi",
+                                      "sufficiency_cmi_bits",
+                                      "separability")).metrics
+    for name in ("var_floor_violation", "cov_offdiag", "per_dim_variance",
+                 "mmd2", "fisher_ratio", "radial_fisher", "normalized_mi",
+                 "sufficiency_cmi_bits"):
+        assert from_csv[name]["status"] == "ok", name
+        assert from_csv[name]["value"] == direct[name].value, name
 
 
 def test_certify_malformed_csv_exits_2(tmp_path, capsys):

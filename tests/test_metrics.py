@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from pelab.errors import ContractViolation, NotApplicableError
-from pelab.metrics import (Curve, MetricReport, MetricSuiteOptions,
-                           certify_encoder, disentanglement_nmi, fisher_trace,
+from pelab.metrics import (Curve, MetricInputs, MetricReport,
+                           MetricSuiteOptions, certify, certify_encoder,
+                           disentanglement_nmi, fisher_trace,
                            geometry_diagnostics, invariance_curve,
                            leakage_probe, normalized_mi, probe_data_efficiency,
                            radial_fisher, separability, smoothness,
@@ -362,6 +365,14 @@ def test_radial_fisher_separates_norm_groups():
     assert radial_fisher(a, b) <= 0.05
 
 
+def test_radial_fisher_equals_separability_on_norms():
+    rng = Rng(34)
+    a = rng.normal(size=(60, 3)) + 1.0
+    b = rng.normal(size=(45, 3))
+    na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    assert radial_fisher(a, b) == separability(na, nb)["fisher_ratio"]
+
+
 # ---------------------------------------------------------------------------
 # probe data-efficiency
 # ---------------------------------------------------------------------------
@@ -461,11 +472,42 @@ def test_report_suite_marks_inapplicable_metrics(bernoulli_world):
     assert report.metrics["leakage_probe_auc"].status == "ok"
 
 
-def test_report_suite_respects_worker_env(rotation_world, monkeypatch):
-    enc = make_encoder("mlp1", 2, 3, 8, Rng(42))
-    opts = MetricSuiteOptions(n=256, curve_points=5, probe_budgets=(32,),
-                              probe_pool_n=128)
-    sequential = certify_encoder(enc, rotation_world, opts, Rng(43))
-    monkeypatch.setenv("PEL_THREADS", "4")
-    threaded = certify_encoder(enc, rotation_world, opts, Rng(43))
-    assert threaded.to_json() == sequential.to_json()
+def test_certify_records_missing_inputs_and_failed_preconditions():
+    # two orbit groups of 30 rows; every code of a group has the same norm,
+    # so the radial Fisher ratio is infinite
+    rng = Rng(44)
+    axes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    z = axes[rng.integers(0, 4, size=60)] * np.repeat([1.0, 2.0], 30)[:, None]
+    t = np.repeat([0.0, 1.0], 30)
+    v = rng.integers(0, 2, size=60)
+    report = certify(MetricInputs(z=z, t=t, v=v), MetricSuiteOptions(), {})
+    m = report.metrics
+    assert m["invariance_auc"].status == "not_applicable"
+    assert m["invariance_auc"].detail["reason"] == "missing input: encoder, world"
+    assert m["sufficiency_cmi_bits"].detail["reason"] == "missing input: x"
+    assert m["leakage_probe_auc"].status == "degenerate"
+    assert "n >= 100" in m["leakage_probe_auc"].detail["reason"]
+    assert m["normalized_mi"].status == "degenerate"
+    assert m["per_dim_variance"].status == "ok"
+    assert m["fisher_ratio"].status == "ok"
+    assert m["radial_fisher"].status == "degenerate"
+    assert m["radial_fisher"].value is None
+    json.loads(report.to_json())
+
+    single = certify(MetricInputs(z=z, t=np.zeros(60)), MetricSuiteOptions(),
+                     {}, names=("separability",))
+    assert sorted(single.metrics) == ["fisher_ratio", "mmd2", "radial_fisher"]
+    assert all(e.status == "degenerate" for e in single.metrics.values())
+
+
+def test_report_records_non_finite_entries_as_degenerate():
+    report = MetricReport()
+    report.add("value", value=float("inf"))
+    report.add("detail", value=1.0, spread=[0.5, float("nan")])
+    for name in ("value", "detail"):
+        assert report.metrics[name].status == "degenerate"
+        assert report.metrics[name].value is None
+    json.loads(report.to_json())
+    report.theory["check"] = {"measured": float("nan")}
+    with pytest.raises(ValueError):
+        report.to_json()
