@@ -100,10 +100,25 @@ def conditional_mi_bits(a, b, cond, weights=None) -> float:
 
 
 def rows_as_codes(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Integer codes for matrix rows, grouping rows equal to within tol."""
+    """Integer codes for matrix rows, numbered in lexicographic row order.
+
+    Rows share a code when each of their entries rounds to the same multiple
+    of ``tol``.  From ``|x| >= 2**53 * tol`` on, float64 spacing is at least
+    ``2 * tol`` and ``x / tol`` may overflow, so such an entry keys as itself
+    behind a -1/+1 side flag that sorts it beyond every grid key.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    keys = np.round(x / tol).astype(np.int64)
-    _, inv = np.unique(keys, axis=0, return_inverse=True)
-    return inv
+    on_grid = np.abs(x) < 2.0 ** 53 * tol
+    keys = np.empty(x.shape + (2,))
+    keys[..., 0] = np.sign(x) * ~on_grid
+    keys[..., 1] = x
+    keys[..., 1][on_grid] = np.round(x[on_grid] / tol)
+    keys = keys.reshape(x.shape[0], -1)   # side_0, key_0, side_1, key_1, ...
+    order = np.lexsort(keys.T[::-1])      # lexsort's last key is primary
+    ranked = keys[order]
+    starts = np.concatenate(([False], np.any(ranked[1:] != ranked[:-1], axis=1)))
+    codes = np.empty(x.shape[0], dtype=np.int64)
+    codes[order] = np.cumsum(starts)
+    return codes

@@ -19,8 +19,12 @@ LOG2 = np.log(2.0)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax computed in place: ``logits`` (float64) is
+    overwritten with the probabilities and returned."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 @dataclass
@@ -45,12 +49,6 @@ class LinearHead:
 
     def predict(self, z: np.ndarray) -> np.ndarray:
         return self.classes[np.argmax(self.logits(z), axis=1)]
-
-
-def _one_hot(idx: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((idx.size, k))
-    out[np.arange(idx.size), idx] = 1.0
-    return out
 
 
 def log_loss_bits(proba: np.ndarray, class_idx: np.ndarray) -> float:
@@ -82,20 +80,30 @@ def fit_linear_probe(z: np.ndarray, y: np.ndarray, rng: Rng,
     scale = z[train_ix].std(axis=0)
     scale[scale < 1e-12] = 1.0
     zs = (z - mean) / scale
+    z_tr, y_tr = zs[train_ix], y_idx[train_ix]
+    z_val, y_val = zs[val_ix], y_idx[val_ix]
+    rows = np.arange(train_ix.size)
 
     W = np.zeros((k, d))
     b = np.zeros(k)
-    yt = _one_hot(y_idx[train_ix], k)
+    # every epoch reuses these two buffers for its logits, probabilities
+    # and gradient: with one class per distinct target value, k reaches
+    # the thousands
+    g = np.empty((train_ix.size, k))
+    val_p = np.empty((val_ix.size, k))
     best = (np.inf, W.copy(), b.copy())
     stale = 0
     for _ in range(epochs):
-        logits = zs[train_ix] @ W.T + b
-        p = softmax(logits)
-        g = (p - yt) / train_ix.size
-        W -= lr * (g.T @ zs[train_ix])
+        np.matmul(z_tr, W.T, out=g)
+        g += b
+        softmax(g)
+        g[rows, y_tr] -= 1.0
+        g /= train_ix.size
+        W -= lr * (g.T @ z_tr)
         b -= lr * g.sum(axis=0)
-        val_p = softmax(zs[val_ix] @ W.T + b)
-        val_loss = log_loss_bits(val_p, y_idx[val_ix])
+        np.matmul(z_val, W.T, out=val_p)
+        val_p += b
+        val_loss = log_loss_bits(softmax(val_p), y_val)
         if val_loss < best[0] - 1e-12:
             best = (val_loss, W.copy(), b.copy())
             stale = 0

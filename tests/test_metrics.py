@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,6 +337,46 @@ def test_separability_far_clusters_matches_brute_force():
     oracle = kaa / (m * (m - 1)) + kbb / (n * (n - 1)) - 2.0 * kab / (m * n)
     assert abs(res["mmd2"] - oracle) <= 1e-9
     assert res["mmd2"] <= 2.0
+
+
+def _dense_mmd2(a, b, h2):
+    """Unbiased MMD^2 from three full kernel matrices: the reference for
+    the blocked kernel sums."""
+    def kernel(p, q):
+        d2 = (np.sum(p * p, axis=1)[:, None] + np.sum(q * q, axis=1)[None, :]
+              - 2.0 * (p @ q.T))
+        return np.exp(-np.maximum(d2, 0.0) / (2.0 * h2))
+    m, n = len(a), len(b)
+    kaa, kbb, kab = kernel(a, a), kernel(b, b), kernel(a, b)
+    return ((kaa.sum() - np.trace(kaa)) / (m * (m - 1))
+            + (kbb.sum() - np.trace(kbb)) / (n * (n - 1)) - 2.0 * kab.mean())
+
+
+@pytest.mark.parametrize("m, n, d", [(20, 2048, 4), (255, 2048, 4),
+                                     (256, 2048, 4), (257, 2048, 4),
+                                     (1000, 2048, 4), (2048, 2048, 4),
+                                     (300, 517, 1), (517, 300, 3)])
+def test_separability_blocked_mmd_matches_dense_kernels(m, n, d):
+    rng = Rng(m + n + d)
+    a = rng.normal(size=(m, d))
+    b = rng.normal(size=(n, d)) * 1.3 + 0.4
+    res = separability(a, b)
+    oracle = _dense_mmd2(a, b, res["bandwidth_sq"])
+    assert abs(res["mmd2"] - oracle) <= 1e-12 * abs(oracle)
+
+
+def test_separability_peak_memory_is_blocked():
+    rng = Rng(35)
+    a = rng.normal(size=(2048, 4))
+    b = rng.normal(size=(2048, 4)) + 0.5
+    tracemalloc.start()
+    try:
+        separability(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one full 2048 x 2048 kernel matrix alone is 32 MB
+    assert peak < 16e6
 
 
 def test_separability_equal_means_fisher_near_zero():
