@@ -32,7 +32,7 @@ _BUNDLED = Path(__file__).parent / "configs"
 
 def _resolve_config(spec: str) -> ExperimentConfig:
     path = Path(spec)
-    if path.exists():
+    if path.is_file():
         return load_config(path)
     bundled = _BUNDLED / f"{spec}.cfg"
     if bundled.exists():
@@ -187,30 +187,33 @@ def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 # ---------------------------------------------------------------------------
 
 def _read_embeddings_csv(path: Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        header_line = fh.readline().strip()
-        if not header_line:
-            raise ContractViolation(f"{path}: empty file")
-        header = [h.strip() for h in header_line.split(",")]
-        rows = []
-        for lineno, raw in enumerate(fh, start=2):
-            if not raw.strip():
-                continue
-            parts = raw.strip().split(",")
-            if len(parts) != len(header):
-                raise ContractViolation(
-                    f"{path}: row {lineno}: expected {len(header)} columns, "
-                    f"got {len(parts)}")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ContractViolation(
-                    f"{path}: row {lineno}: {exc}") from None
-            bad = [h for h, c in zip(header, row) if not math.isfinite(c)]
-            if bad:
-                raise ContractViolation(
-                    f"{path}: row {lineno}, column {bad[0]}: non-finite value")
-            rows.append(row)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header_line = fh.readline().strip()
+            if not header_line:
+                raise ContractViolation(f"{path}: empty file")
+            header = [h.strip() for h in header_line.split(",")]
+            rows = []
+            for lineno, raw in enumerate(fh, start=2):
+                if not raw.strip():
+                    continue
+                parts = raw.strip().split(",")
+                if len(parts) != len(header):
+                    raise ContractViolation(
+                        f"{path}: row {lineno}: expected {len(header)} "
+                        f"columns, got {len(parts)}")
+                try:
+                    row = [float(p) for p in parts]
+                except ValueError as exc:
+                    raise ContractViolation(
+                        f"{path}: row {lineno}: {exc}") from None
+                bad = [h for h, c in zip(header, row) if not math.isfinite(c)]
+                if bad:
+                    raise ContractViolation(f"{path}: row {lineno}, column "
+                                            f"{bad[0]}: non-finite value")
+                rows.append(row)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ContractViolation(f"{path}: cannot read embeddings: {exc}") from None
     if not rows:
         raise ContractViolation(f"{path}: no data rows")
     data = np.asarray(rows)
@@ -218,7 +221,7 @@ def _read_embeddings_csv(path: Path) -> dict:
 
     def gather(prefix):
         names = sorted((n for n in cols if n.startswith(prefix)
-                        and n[len(prefix):].isdigit()),
+                        and n[len(prefix):].isdecimal()),
                        key=lambda n: int(n[len(prefix):]))
         if not names:
             return None
@@ -332,7 +335,7 @@ def main(argv=None) -> int:
         else:
             cfg = parse_config_text("", source="<defaults>")
         if args.seed is not None:
-            cfg = cfg.with_override("seed", int(args.seed))
+            cfg = cfg.with_override("seed", args.seed, where="--seed")
         out = Path(args.out)
 
         if args.command == "run":

@@ -26,12 +26,14 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_float_list(text: str):
-    items = [p for p in text.replace(",", " ").split() if p]
-    return tuple(float(p) for p in items)
+    return tuple(float(p) for p in text.replace(",", " ").split())
 
 
 def _parse_int_list(text: str):
-    return tuple(int(p) for p in text.replace(",", " ").split() if p)
+    items = tuple(int(p) for p in text.replace(",", " ").split())
+    if not items:   # the only int list is probe budgets, which needs one
+        raise ValueError("expected at least one value")
+    return items
 
 
 _PARSERS = {
@@ -100,6 +102,18 @@ SCHEMA = {
 }
 
 
+# lower bounds of the keys whose smaller values no command can run with
+_MINIMUM = {"seed": 0, "encoder.d_z": 1, "metrics.curve_points": 1}
+
+
+def _checked(key: str, value, where: str):
+    """``value`` if ``key`` accepts it; ``where`` names the line or flag."""
+    if key in _MINIMUM and value < _MINIMUM[key]:
+        raise ConfigurationError(
+            f"{where}: {key} must be >= {_MINIMUM[key]}, got {value}")
+    return value
+
+
 class ExperimentConfig:
     """Typed view over a parsed key=value file with schema defaults."""
 
@@ -111,9 +125,10 @@ class ExperimentConfig:
             return self.values[key]
         return SCHEMA[key][1]
 
-    def with_override(self, key: str, value) -> "ExperimentConfig":
+    def with_override(self, key: str, value,
+                      where: str = "override") -> "ExperimentConfig":
         out = dict(self.values)
-        out[key] = value
+        out[key] = _checked(key, value, where)
         return ExperimentConfig(out)
 
     def canonical_text(self) -> str:
@@ -190,16 +205,21 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             raise ConfigurationError(f"{source}:{lineno}: unknown key {key!r}")
         typ = SCHEMA[key][0]
         try:
-            values[key] = _PARSERS[typ](val)
+            parsed = _PARSERS[typ](val)
         except ValueError as exc:
             raise ConfigurationError(
                 f"{source}:{lineno}: bad {typ} value for {key}: {exc}") from None
+        values[key] = _checked(key, parsed, f"{source}:{lineno}")
     return ExperimentConfig(values)
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=str(path))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{path}: cannot read config: {exc}") from None
+    return parse_config_text(text, source=str(path))
 
 
 def schema_help() -> str:

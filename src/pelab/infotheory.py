@@ -2,7 +2,10 @@
 
 All quantities are in bits.  Continuous code dimensions are discretized by
 quantile binning, which is invariant under strictly monotone per-dimension
-reparameterizations (bin membership depends only on sample ranks).
+reparameterizations (bin membership depends only on sample ranks).  Every
+cell numbering -- joint integer codes and rows grouped to a tolerance --
+comes from one row coder, ``_row_codes``, so cells are always numbered in
+lexicographic row order.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
+from .numerics import as_samples
 
 
 def codes_of(values) -> np.ndarray:
@@ -18,11 +22,21 @@ def codes_of(values) -> np.ndarray:
     return inv
 
 
+def _row_codes(keys: np.ndarray) -> np.ndarray:
+    """Codes 0..k-1 for the rows of a 2-d key array: equal rows share a
+    code, and codes follow the lexicographic order of the rows."""
+    order = np.lexsort(keys.T[::-1])      # lexsort's last key is primary
+    ranked = keys[order]
+    starts = np.concatenate(([False], np.any(ranked[1:] != ranked[:-1], axis=1)))
+    codes = np.empty(keys.shape[0], dtype=np.int64)
+    codes[order] = np.cumsum(starts)
+    return codes
+
+
 def joint_codes(*code_arrays) -> np.ndarray:
     """Collapse several aligned integer code arrays into one."""
-    stacked = np.column_stack([np.asarray(c, dtype=np.int64) for c in code_arrays])
-    _, inv = np.unique(stacked, axis=0, return_inverse=True)
-    return inv
+    return _row_codes(np.column_stack(
+        [np.asarray(c, dtype=np.int64) for c in code_arrays]))
 
 
 def quantile_codes(values, n_bins: int = 8) -> np.ndarray:
@@ -36,10 +50,7 @@ def quantile_codes(values, n_bins: int = 8) -> np.ndarray:
 def pca_directions(z: np.ndarray, k: int) -> np.ndarray:
     """Top-k principal directions (columns), sign-fixed for determinism."""
     z = np.asarray(z, dtype=np.float64)
-    cov = np.cov(z, rowvar=False)
-    if cov.ndim == 0:
-        cov = cov.reshape(1, 1)
-    w, vec = np.linalg.eigh(cov)
+    w, vec = np.linalg.eigh(np.atleast_2d(np.cov(z, rowvar=False)))
     order = np.argsort(w)[::-1][:k]
     dirs = vec[:, order]
     for j in range(dirs.shape[1]):
@@ -53,9 +64,7 @@ def discretize_codes(z: np.ndarray, n_bins: int = 8, max_dims: int = 2) -> np.nd
     """Integer cell ids for a code batch: quantile bins per dimension, taken
     on at most ``max_dims`` leading principal directions to keep the plug-in
     bias controlled."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[:, None]
+    z = as_samples(z)
     if z.shape[1] > max_dims:
         z = z @ pca_directions(z, max_dims)
     per_dim = [quantile_codes(z[:, j], n_bins) for j in range(z.shape[1])]
@@ -90,9 +99,6 @@ def mutual_information_bits(a, b, weights=None) -> float:
 
 def conditional_mi_bits(a, b, cond, weights=None) -> float:
     """I(A; B | C) = H(A,C) + H(B,C) - H(A,B,C) - H(C), plug-in."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    cond = np.asarray(cond, dtype=np.int64)
     return (entropy_bits(joint_codes(a, cond), weights)
             + entropy_bits(joint_codes(b, cond), weights)
             - entropy_bits(joint_codes(a, b, cond), weights)
@@ -107,18 +113,11 @@ def rows_as_codes(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     ``2 * tol`` and ``x / tol`` may overflow, so such an entry keys as itself
     behind a -1/+1 side flag that sorts it beyond every grid key.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_samples(x)
     on_grid = np.abs(x) < 2.0 ** 53 * tol
     keys = np.empty(x.shape + (2,))
     keys[..., 0] = np.sign(x) * ~on_grid
     keys[..., 1] = x
     keys[..., 1][on_grid] = np.round(x[on_grid] / tol)
-    keys = keys.reshape(x.shape[0], -1)   # side_0, key_0, side_1, key_1, ...
-    order = np.lexsort(keys.T[::-1])      # lexsort's last key is primary
-    ranked = keys[order]
-    starts = np.concatenate(([False], np.any(ranked[1:] != ranked[:-1], axis=1)))
-    codes = np.empty(x.shape[0], dtype=np.int64)
-    codes[order] = np.cumsum(starts)
-    return codes
+    # side_0, key_0, side_1, key_1, ...
+    return _row_codes(keys.reshape(x.shape[0], -1))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import infotheory as it
 from .errors import ContractViolation, DegenerateError, NotApplicableError
-from .numerics import Encoder, Rng
+from .numerics import Encoder, Rng, as_samples
 from .objectives import covariance_penalty_value_grad, variance_floor_value_grad
 from .probes import fit_linear_probe, evaluate_probe, probe_split_evaluate
 from .worlds import World, magnitude_transform, sample_batch
@@ -102,9 +102,7 @@ def leakage_probe(zbatch, v, rng: Rng, test_frac: float = 0.3) -> dict:
     leakage score 2*|AUC - 1/2| (AUC far from 1/2 in either direction means
     the nuisance is decodable).
     """
-    z = np.asarray(zbatch, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[:, None]
+    z = as_samples(zbatch)
     if z.shape[0] < _NUISANCE_N_MIN:
         raise DegenerateError(f"leakage probe requires n >= {_NUISANCE_N_MIN}")
     v_codes = it.codes_of(v)
@@ -183,12 +181,8 @@ def disentanglement_nmi(zbatch, factors, n_bins: int = 8) -> dict:
 
     Constant factors are skipped and recorded as warnings.
     """
-    z = np.asarray(zbatch, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[:, None]
-    factors = np.asarray(factors, dtype=np.float64)
-    if factors.ndim == 1:
-        factors = factors[:, None]
+    z = as_samples(zbatch)
+    factors = as_samples(factors)
     z_codes = [it.quantile_codes(z[:, d], n_bins) for d in range(z.shape[1])]
     score = 0.0
     per_factor = []
@@ -216,17 +210,14 @@ def sufficiency_surrogate(zbatch, xbatch, orbit_ids, n_bins: int = 8) -> float:
     a not-applicable error.  Codes with small discrete support are used
     exactly, otherwise they are quantile-binned.
     """
-    x = np.asarray(xbatch, dtype=np.float64)
-    x_codes = it.rows_as_codes(x)
+    x_codes = it.rows_as_codes(xbatch)
     if np.unique(x_codes).size > _DISCRETE_SUPPORT_MAX:
         raise NotApplicableError("sufficiency surrogate requires discrete X")
-    z = np.asarray(zbatch, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[:, None]
+    z = as_samples(zbatch)
     z_codes = it.rows_as_codes(z)
     if np.unique(z_codes).size > _DISCRETE_SUPPORT_MAX:
         z_codes = it.discretize_codes(z, n_bins=n_bins)
-    t_codes = it.rows_as_codes(np.asarray(orbit_ids, dtype=np.float64))
+    t_codes = it.rows_as_codes(orbit_ids)
     return it.conditional_mi_bits(x_codes, z_codes, t_codes)
 
 
@@ -255,11 +246,6 @@ def median_bandwidth_sq(pooled: np.ndarray) -> float:
     iu = np.triu_indices(pooled.shape[0], k=1)
     med = float(np.median(d2[iu]))
     return med / 2.0 if med > 0 else 1.0
-
-
-def _as_samples(z) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    return z[:, None] if z.ndim == 1 else z
 
 
 def _fisher_ratio(a: np.ndarray, b: np.ndarray) -> float:
@@ -310,7 +296,7 @@ def separability(zbatch_a, zbatch_b) -> dict:
     The kernel sums are accumulated in blocks of rows, so memory stays
     O(block x n): about 4 MB for the 2 048-row groups ``_cap_group`` allows,
     against 32 MB for each full kernel matrix."""
-    a, b = _as_samples(zbatch_a), _as_samples(zbatch_b)
+    a, b = as_samples(zbatch_a), as_samples(zbatch_b)
     m, n = a.shape[0], b.shape[0]
     fisher = _fisher_ratio(a, b)
 
@@ -326,8 +312,8 @@ def separability(zbatch_a, zbatch_b) -> dict:
 def radial_fisher(zbatch_a, zbatch_b) -> float:
     """Fisher ratio on code norms only (interpretation of the 'radial'
     separability diagnostic; flagged as such in reports)."""
-    na = np.linalg.norm(_as_samples(zbatch_a), axis=1)
-    nb = np.linalg.norm(_as_samples(zbatch_b), axis=1)
+    na = np.linalg.norm(as_samples(zbatch_a), axis=1)
+    nb = np.linalg.norm(as_samples(zbatch_b), axis=1)
     return _fisher_ratio(na[:, None], nb[:, None])
 
 
@@ -644,27 +630,20 @@ def _cap_group(z: np.ndarray) -> np.ndarray:
 
 
 def _two_orbit_groups(z: np.ndarray, t) -> tuple | None:
-    """Split codes into two groups by orbit statistic (the two most common
-    ids for discrete t, below/above the median for continuous t)."""
+    """Split codes into two groups by orbit statistic: the two most common
+    orbit cells (``rows_as_codes``), or below/above the median for a 1-d t
+    with more than 64 cells."""
     t = np.asarray(t, dtype=np.float64)
-    if t.ndim > 1:
-        t_codes = it.rows_as_codes(t)
-        vals, counts = np.unique(t_codes, return_counts=True)
-        if vals.size < 2:
-            return None
-        top = vals[np.argsort(counts)[::-1][:2]]
-        mask_a, mask_b = t_codes == top[0], t_codes == top[1]
+    t_codes = it.rows_as_codes(t)
+    counts = np.bincount(t_codes)
+    if counts.size < 2:
+        return None
+    if t.ndim == 1 and counts.size > _DISCRETE_SUPPORT_MAX:
+        med = np.median(t)
+        mask_a, mask_b = t <= med, t > med
     else:
-        vals = np.unique(t)
-        if vals.size < 2:
-            return None
-        if vals.size <= _DISCRETE_SUPPORT_MAX:
-            _, counts = np.unique(t, return_counts=True)
-            top = vals[np.argsort(counts)[::-1][:2]]
-            mask_a, mask_b = t == top[0], t == top[1]
-        else:
-            med = np.median(t)
-            mask_a, mask_b = t <= med, t > med
+        top = np.argsort(counts)[::-1][:2]
+        mask_a, mask_b = t_codes == top[0], t_codes == top[1]
     if mask_a.sum() < 20 or mask_b.sum() < 20:
         return None
     return _cap_group(z[mask_a]), _cap_group(z[mask_b])

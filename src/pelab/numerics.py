@@ -18,6 +18,12 @@ ARCH_LINEAR = "linear"
 ARCH_MLP1 = "mlp1"
 
 
+def as_samples(a) -> np.ndarray:
+    """A batch as float64 rows: a 1-d array becomes an (n, 1) column."""
+    a = np.asarray(a, dtype=np.float64)
+    return a[:, None] if a.ndim == 1 else a
+
+
 # ---------------------------------------------------------------------------
 # Deterministic pseudo-randomness
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation
-from .numerics import Rng
+from .errors import ContractViolation, DegenerateError
+from .numerics import Rng, as_samples
 
 LOG2 = np.log(2.0)
 
@@ -60,13 +60,11 @@ def fit_linear_probe(z: np.ndarray, y: np.ndarray, rng: Rng,
                      epochs: int = 200, lr: float = 1.0,
                      val_frac: float = 0.2, patience: int = 25) -> LinearHead:
     """Train a linear-softmax probe by full-batch GD with early stopping."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[:, None]
+    z = as_samples(z)
     y = np.asarray(y)
     classes, y_idx = np.unique(y, return_inverse=True)
     if classes.size < 2:
-        raise ContractViolation("probe targets must have at least two classes")
+        raise DegenerateError("probe targets must have at least two classes")
     n, d = z.shape
     k = classes.size
 
@@ -133,7 +131,7 @@ def roc_auc(scores: np.ndarray, positive: np.ndarray) -> float:
     n_pos = int(positive.sum())
     n_neg = positive.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise ContractViolation("AUC is undefined for a single-class target")
+        raise DegenerateError("AUC is undefined for a single-class target")
     ranks = _average_ranks(np.asarray(scores, dtype=np.float64))
     u = ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
@@ -144,7 +142,7 @@ def macro_ovr_auc(proba: np.ndarray, y_idx: np.ndarray, k: int) -> float:
     aucs = [roc_auc(proba[:, c], y_idx == c)
             for c in range(k) if 0 < np.sum(y_idx == c) < y_idx.size]
     if not aucs:
-        raise ContractViolation("AUC is undefined for a single-class target")
+        raise DegenerateError("AUC is undefined for a single-class target")
     return float(np.mean(aucs))
 
 
@@ -169,9 +167,7 @@ def evaluate_probe(head: LinearHead, z: np.ndarray, y: np.ndarray) -> ProbeEvalu
 
 def probe_split_evaluate(z, y, rng: Rng, test_frac: float = 0.3, **fit_kw):
     """Convenience: split, fit on the training part, evaluate held out."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[:, None]
+    z = as_samples(z)
     y = np.asarray(y)
     n = z.shape[0]
     perm = rng.permutation(n)

@@ -6,6 +6,12 @@ orthogonality check for perception updates against the Bayes-risk gradient,
 the over-invariance counterexamples, the two-stage optimality check, and the
 assumption audit.
 
+Every joint law (of inputs, discretized inputs or orbit values) is a
+``worlds.Atoms``.  F prices the Bayes act per cell: distinct codes
+(``infotheory.rows_as_codes``) for exact laws, quantile histograms
+(``infotheory.discretize_codes``) for samples; its gradient is
+``numerics.finite_diff``.
+
 Conventions: log-loss is reported in bits, so the log-loss Bayes risk equals
 the conditional entropy H(Y | representation) in bits.  Zero-one loss is also
 provided for the counterexample risk table but is not strictly proper.
@@ -19,7 +25,7 @@ import numpy as np
 
 from . import infotheory as it
 from .errors import ContractViolation
-from .numerics import Encoder, Rng, param_gradient
+from .numerics import Encoder, Rng, as_samples, finite_diff, param_gradient
 from .objectives import (covariance_penalty_value_grad, infonce_value_grad,
                          invariance_value_grad, variance_floor_value_grad)
 from .probes import LinearHead
@@ -36,10 +42,11 @@ def _posterior_loss(posteriors: np.ndarray, loss: str) -> np.ndarray:
     if loss == LOSS_ZERO_ONE:
         return 1.0 - posteriors.max(axis=1)
     if loss == LOSS_LOG:
-        p = posteriors.copy()
-        out = np.zeros(p.shape[0])
-        mask = p > 0
-        out -= np.sum(np.where(mask, p * np.log2(np.where(mask, p, 1.0)), 0.0), axis=1)
+        mask = posteriors > 0
+        logs = np.log2(np.where(mask, posteriors, 1.0))
+        # subtracting from +0.0, not negating, keeps a one-hot row at +0.0
+        out = np.zeros(posteriors.shape[0])
+        out -= np.sum(np.where(mask, posteriors * logs, 0.0), axis=1)
         return out
     raise ContractViolation(f"unknown loss {loss!r}")
 
@@ -80,20 +87,19 @@ def bayes_risk(world: World, representation, loss: str,
     whose codes are grouped to within ``cell_tol``.
     """
     atoms = _world_atoms(world, resolution)
-    if isinstance(representation, str):
-        if representation == "full":
-            cells = it.rows_as_codes(atoms.x, cell_tol)
-        elif representation in ("good", "bad"):
-            if world.name != "bernoulli_uv":
-                raise ContractViolation(
-                    "good/bad representations are defined on the two-bit world")
-            col = 1 if representation == "good" else 0
-            cells = it.rows_as_codes(atoms.x[:, col], cell_tol)
-        else:
-            raise ContractViolation(f"unknown representation {representation!r}")
+    if not isinstance(representation, str):
+        codes = representation.forward(atoms.x)
+    elif representation == "full":
+        codes = atoms.x
+    elif representation in ("good", "bad"):
+        if world.name != "bernoulli_uv":
+            raise ContractViolation(
+                "good/bad representations are defined on the two-bit world")
+        codes = atoms.x[:, 1 if representation == "good" else 0]
     else:
-        cells = it.rows_as_codes(representation.forward(atoms.x), cell_tol)
-    return risk_of_cells(cells, atoms.weight, atoms.posterior, loss)
+        raise ContractViolation(f"unknown representation {representation!r}")
+    return risk_of_cells(it.rows_as_codes(codes, cell_tol), atoms.weight,
+                         atoms.posterior, loss)
 
 
 # ---------------------------------------------------------------------------
@@ -119,28 +125,18 @@ def task_risk(enc, head: LinearHead, world: World, loss: str,
 # Bayes risk through an encoder: F(phi)
 # ---------------------------------------------------------------------------
 
-def _quantile_cells(codes: np.ndarray, resolution: int) -> np.ndarray:
-    """Cell ids from per-dimension quantile histograms over sampled support.
-    Only dimensions with nonzero spread participate."""
-    codes = np.asarray(codes, dtype=np.float64)
-    if codes.ndim == 1:
-        codes = codes[:, None]
-    active = [j for j in range(codes.shape[1]) if np.ptp(codes[:, j]) > 0]
-    if not active:
-        return np.zeros(codes.shape[0], dtype=np.int64)
-    return it.joint_codes(*[it.quantile_codes(codes[:, j], resolution)
-                            for j in active])
-
-
 def empirical_bayes_risk(codes: np.ndarray, labels: np.ndarray, loss: str,
                          resolution: int, n_classes: int) -> float:
-    """Histogram-posterior estimate of inf_head risk from sampled codes."""
-    cells = _quantile_cells(codes, resolution)
+    """Histogram-posterior estimate of inf_head risk from sampled codes.
+
+    Cells are per-dimension quantile histograms over the sample; a constant
+    dimension is one bin, so it leaves the cells unchanged."""
+    codes = as_samples(codes)
+    cells = it.discretize_codes(codes, n_bins=resolution,
+                                max_dims=codes.shape[1])
     labels = np.asarray(labels, dtype=np.int64)
-    post = np.zeros((labels.size, n_classes))
-    post[np.arange(labels.size), labels] = 1.0
     w = np.full(labels.size, 1.0 / labels.size)
-    return risk_of_cells(cells, w, post, loss)
+    return risk_of_cells(cells, w, np.eye(n_classes)[labels], loss)
 
 
 def bayes_risk_through_encoder(enc, world: World, loss: str,
@@ -153,9 +149,7 @@ def bayes_risk_through_encoder(enc, world: World, loss: str,
     sampled histogram posteriors over quantile cells otherwise.
     """
     if world.atoms is not None:
-        atoms = world.atoms()
-        cells = it.rows_as_codes(enc.forward(atoms.x), cell_tol)
-        return risk_of_cells(cells, atoms.weight, atoms.posterior, loss)
+        return bayes_risk(world, enc, loss, cell_tol=cell_tol)
     if rng is None:
         raise ContractViolation("sampled F(phi) requires an rng")
     x = world.sample_x(rng, n)
@@ -185,15 +179,13 @@ class FactorThroughTFamily:
 
     # -- encoder interface --------------------------------------------------
     def t_columns(self, x: np.ndarray) -> np.ndarray:
-        t = np.asarray(self.world.orbit_map(x), dtype=np.float64)
-        return t[:, None] if t.ndim == 1 else t
+        return as_samples(self.world.orbit_map(x))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.inner.forward(self.t_columns(x))
 
     def codes_of_t(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        return self.inner.forward(t[:, None] if t.ndim == 1 else t)
+        return self.inner.forward(as_samples(t))
 
     def get_flat_params(self) -> np.ndarray:
         return self.inner.get_flat_params()
@@ -204,10 +196,6 @@ class FactorThroughTFamily:
     @property
     def mutation_count(self) -> int:
         return self.inner.mutation_count
-
-    @property
-    def d_z(self) -> int:
-        return self.inner.d_z
 
     def injectivity_witness(self, t_sample: np.ndarray, in_gap: float = 1e-3,
                             out_tol: float = 1e-9) -> dict:
@@ -229,7 +217,7 @@ class FactorThroughTFamily:
 def factorization_residual(family: FactorThroughTFamily, x: np.ndarray) -> float:
     """max_x ||f(x) - h(pi(x))||; zero by construction, audited anyway."""
     direct = family.forward(x)
-    via_t = family.codes_of_t(np.asarray(family.world.orbit_map(x)))
+    via_t = family.codes_of_t(family.world.orbit_map(x))
     return float(np.max(np.linalg.norm(direct - via_t, axis=1)))
 
 
@@ -279,35 +267,25 @@ class TheoryVerdict:
 # Orthogonality of perception updates to the Bayes-risk gradient
 # ---------------------------------------------------------------------------
 
-def _family_invariance_gradient(family: FactorThroughTFamily, world: World,
-                                rng: Rng, n: int = 512) -> np.ndarray:
-    """Analytic gradient of the invariance loss with respect to the inner
-    parameters.  Identically zero at exact invariance; computed through the
-    real machinery rather than assumed."""
+def _family_gradient(family: FactorThroughTFamily, world: World, rng: Rng,
+                     code_loss, n: int = 512) -> np.ndarray:
+    """Analytic gradient of a two-view code loss with respect to the inner
+    parameters, on one sampled batch of view pairs."""
     batch = sample_batch(world, n, rng, with_labels=False)
-    t = family.t_columns(batch.x)
-    tp = family.t_columns(batch.x_plus)
-    _, grad = param_gradient(family.inner, invariance_value_grad, t, tp)
+    _, grad = param_gradient(family.inner, code_loss,
+                             family.t_columns(batch.x),
+                             family.t_columns(batch.x_plus))
     return grad
 
 
-def _family_perc_gradient(family: FactorThroughTFamily, world: World,
-                          rng: Rng, n: int = 512) -> np.ndarray:
-    """Gradient of the contrastive + diversity terms within the family: a
-    generically nonzero perception-update direction that is tangent to the
+def _perception_code_loss(z, zp):
+    """Contrastive + diversity terms: within the family, a generically
+    nonzero perception-update direction that is tangent to the
     factor-through manifold by construction."""
-    batch = sample_batch(world, n, rng, with_labels=False)
-    t = family.t_columns(batch.x)
-    tp = family.t_columns(batch.x_plus)
-
-    def code_loss(z, zp):
-        v1, g1, g1p = infonce_value_grad(z, zp, tau=0.5, sim="dot")
-        v2, g2 = variance_floor_value_grad(z, 1.0)
-        v3, g3 = covariance_penalty_value_grad(z)
-        return v1 + v2 + v3, g1 + g2 + g3, g1p
-
-    _, grad = param_gradient(family.inner, code_loss, t, tp)
-    return grad
+    v1, g1, g1p = infonce_value_grad(z, zp, tau=0.5, sim="dot")
+    v2, g2 = variance_floor_value_grad(z, 1.0)
+    v3, g3 = covariance_penalty_value_grad(z)
+    return v1 + v2 + v3, g1 + g2 + g3, g1p
 
 
 def orthogonality_check(family: FactorThroughTFamily, world: World,
@@ -334,13 +312,15 @@ def orthogonality_check(family: FactorThroughTFamily, world: World,
     rng_data, rng_dirs, rng_ginv, rng_gperc = rng.split(4)
 
     # frozen evaluation law: exact atoms when available, else one sample
-    if world.t_atoms is not None:
-        t_eval, w_eval, post_eval = world.t_atoms()
+    sampled = world.t_atoms is None
+    if not sampled:
+        law = world.t_atoms()
+        t_eval = law.x
 
-        def risk_at(psi):
+        def risk_at(psi, res=None):   # exact cells: no resolution
             family.set_flat_params(psi)
             cells = it.rows_as_codes(family.codes_of_t(t_eval))
-            return risk_of_cells(cells, w_eval, post_eval, loss)
+            return risk_of_cells(cells, law.weight, law.posterior, loss)
     else:
         x_eval = world.sample_x(rng_data, n)
         y_eval = world.label_fn(x_eval)
@@ -355,8 +335,14 @@ def orthogonality_check(family: FactorThroughTFamily, world: World,
     f0 = risk_at(psi0)
     witness0 = family.injectivity_witness(t_eval)
 
-    g_inv = _family_invariance_gradient(family, world, rng_ginv)
-    g_perc = _family_perc_gradient(family, world, rng_gperc)
+    def dvf_along(unit, res):
+        return (risk_at(psi0 + fd_step * unit, res)
+                - risk_at(psi0 - fd_step * unit, res)) / (2.0 * fd_step)
+
+    # the invariance gradient is identically zero at exact invariance;
+    # it is computed through the real machinery rather than assumed
+    g_inv = _family_gradient(family, world, rng_ginv, invariance_value_grad)
+    g_perc = _family_gradient(family, world, rng_gperc, _perception_code_loss)
     directions = [("invariance_gradient", g_inv, t_grid),
                   ("perception_gradient", g_perc, t_grid)]
     for i in range(n_random_dirs):
@@ -368,6 +354,7 @@ def orthogonality_check(family: FactorThroughTFamily, world: World,
     dir_results = {}
     max_abs_dvf = 0.0
     max_abs_df = 0.0
+    resolution_shift = 0.0
     witness_ok = witness0["ok"]
     for label, vec, grid in directions:
         norm = float(np.linalg.norm(vec))
@@ -377,12 +364,10 @@ def orthogonality_check(family: FactorThroughTFamily, world: World,
             dir_results[label] = {"norm": norm, "dvf": 0.0, "delta_f": {}}
             continue
         unit = vec / norm
-        dvf = (risk_at(psi0 + fd_step * unit)
-               - risk_at(psi0 - fd_step * unit)) / (2.0 * fd_step)
+        dvf = dvf_along(unit, resolution)
         deltas = {}
         for step in grid:
-            f_t = risk_at(psi0 + step * unit)
-            family.set_flat_params(psi0 + step * unit)
+            f_t = risk_at(psi0 + step * unit)   # leaves psi0 + step * unit set
             wit = family.injectivity_witness(t_eval)
             deltas[repr(float(step))] = {"delta_f": f_t - f0,
                                          "injective": wit["ok"]}
@@ -390,26 +375,13 @@ def orthogonality_check(family: FactorThroughTFamily, world: World,
             max_abs_df = max(max_abs_df, abs(f_t - f0))
         max_abs_dvf = max(max_abs_dvf, abs(dvf))
         dir_results[label] = {"norm": norm, "dvf": float(dvf), "delta_f": deltas}
-    family.set_flat_params(psi0)
-
-    # resolution stability of the directional derivatives (sampled F only)
-    resolution_shift = 0.0
-    if world.t_atoms is None:
-        for label, vec, _ in directions:
-            norm = float(np.linalg.norm(vec))
-            if norm < 1e-12:
-                continue
-            unit = vec / norm
-            dvf2 = (risk_at(psi0 + fd_step * unit, res=2 * resolution)
-                    - risk_at(psi0 - fd_step * unit, res=2 * resolution)) / (2.0 * fd_step)
+        if sampled:
+            # resolution stability of the directional derivative
             resolution_shift = max(
-                resolution_shift, abs(dvf2 - dir_results[label]["dvf"]))
-        family.set_flat_params(psi0)
+                resolution_shift, abs(dvf_along(unit, 2 * resolution) - dvf))
 
     # full finite-difference gradient of F, for the cosine diagnostic
-    g_f = np.array([(risk_at(psi0 + fd_step * _unit_vec(psi0.size, i))
-                     - risk_at(psi0 - fd_step * _unit_vec(psi0.size, i)))
-                    / (2.0 * fd_step) for i in range(psi0.size)])
+    g_f = finite_diff(risk_at, psi0, fd_step)
     family.set_flat_params(psi0)
     g_f_norm = float(np.linalg.norm(g_f))
     g_inv_norm = float(np.linalg.norm(g_inv))
@@ -434,12 +406,6 @@ def orthogonality_check(family: FactorThroughTFamily, world: World,
                      "cosine_gF_gInv": cosine,
                      "resolution_shift_of_dvf": float(resolution_shift),
                      "loss": loss})
-
-
-def _unit_vec(size: int, i: int) -> np.ndarray:
-    e = np.zeros(size)
-    e[i] = 1.0
-    return e
 
 
 def over_invariance_check(world: World, rng: Rng,
@@ -487,8 +453,7 @@ def two_stage_check(world: World, enc, rng: Rng, n_train: int = 4096,
     from .trainer import train_head  # local import: trainer builds on theory-free modules
     head = train_head(enc, world, rng, label_budget=n_train)
     risk = task_risk(enc, head, world, LOSS_ZERO_ONE, n_eval, rng)
-    resolution_arg = None if world.atoms is not None else resolution
-    bayes = bayes_risk(world, "full", LOSS_ZERO_ONE, resolution=resolution_arg)
+    bayes = bayes_risk(world, "full", LOSS_ZERO_ONE, resolution=resolution)
     return TheoryVerdict(
         name=name,
         measured={"head_risk": float(risk), "bayes_risk_full": float(bayes),

@@ -145,8 +145,10 @@ def rho_batch(family, deltas, d_z: int) -> np.ndarray:
 @dataclass
 class Atoms:
     """A finite (or finitely discretized) joint law of (X, Y):
-    one row of ``x`` per atom, its probability mass, and P(Y | X=x)."""
-    x: np.ndarray          # (m, d_x)
+    one row of ``x`` per atom, its probability mass, and P(Y | X=x).
+    ``World.t_atoms`` gives the law of (T, Y) in the same form, with the
+    orbit values in ``x``."""
+    x: np.ndarray          # (m, d_x), or the orbit values (m,) or (m, k)
     weight: np.ndarray     # (m,), sums to 1
     posterior: np.ndarray  # (m, n_classes)
 
@@ -166,7 +168,7 @@ class World:
     n_classes: int = 0
     atoms: object = None                # () -> Atoms, exact (discrete X only)
     discretized_atoms: object = None    # (resolution) -> Atoms
-    t_atoms: object = None              # () -> (t values, weights, posterior)
+    t_atoms: object = None              # () -> Atoms over orbit values
 
 
 @dataclass
@@ -264,15 +266,9 @@ def make_rotation_world(r_min: float = 0.5, r_max: float = 1.5,
     world.label_threshold = threshold
 
     if radii is not None:
-        r_atoms = radii
-
         def t_atoms():
-            w = np.full(r_atoms.size, 1.0 / r_atoms.size)
-            post = np.zeros((r_atoms.size, 2))
-            hi = r_atoms > threshold
-            post[hi, 1] = 1.0
-            post[~hi, 0] = 1.0
-            return r_atoms.copy(), w, post
+            return Atoms(radii.copy(), np.full(radii.size, 1.0 / radii.size),
+                         np.eye(2)[(radii > threshold).astype(np.int64)])
 
         world.t_atoms = t_atoms
 
@@ -287,10 +283,7 @@ def make_rotation_world(r_min: float = 0.5, r_max: float = 1.5,
         rr, tt = np.meshgrid(r_grid, theta, indexing="ij")
         x = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
         w = np.repeat(r_w / resolution, resolution)
-        y = label_fn(x)
-        post = np.zeros((x.shape[0], 2))
-        post[np.arange(x.shape[0]), y] = 1.0
-        return Atoms(x, w, post)
+        return Atoms(x, w, np.eye(2)[label_fn(x)])
 
     world.discretized_atoms = discretized_atoms
     return world
@@ -324,16 +317,13 @@ def make_bernoulli_uv_world() -> World:
 
     def atoms() -> Atoms:
         x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        w = np.full(4, 0.25)
-        post = np.zeros((4, 2))
-        post[np.arange(4), x[:, 1].astype(int)] = 1.0
-        return Atoms(x, w, post)
+        return Atoms(x, np.full(4, 0.25), np.eye(2)[x[:, 1].astype(int)])
 
     def t_atoms():
         t = np.array([0.0, 1.0])
         w = np.array([0.5, 0.5])
         post = np.full((2, 2), 0.5)  # P(Y=1 | U) = 1/2 for both orbits
-        return t, w, post
+        return Atoms(t, w, post)
 
     world.atoms = atoms
     world.t_atoms = t_atoms

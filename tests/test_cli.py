@@ -1,11 +1,14 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pelab.cli import main
+from pelab.cli import _read_embeddings_csv, main
 from pelab.config import SCHEMA, parse_config_text, schema_help
-from pelab.errors import ConfigurationError
+from pelab.errors import ConfigurationError, ContractViolation
 from pelab.metrics import MetricInputs, MetricSuiteOptions, certify
 from pelab.numerics import Rng, make_encoder
 from pelab.worlds import make_bernoulli_uv_world, sample_batch
@@ -42,6 +45,27 @@ def test_config_hash_stable_under_formatting():
     assert a.config_hash() == b.config_hash()
     c = parse_config_text("seed = 6\nworld.kind = rotation\n")
     assert a.config_hash() != c.config_hash()
+
+
+_CONFIG_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.from_regex(r"-?[0-9]{0,4}(\.[0-9]{0,3})?(e-?[0-9]{1,3})?", fullmatch=True),
+    st.sampled_from(["", "0", "-1", "true", "nan", "1,2", ",", "1e999"]))
+_CONFIG_LINES = st.one_of(
+    st.text(max_size=40),
+    st.builds("{} = {}".format, st.sampled_from(sorted(SCHEMA)),
+              _CONFIG_VALUES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CONFIG_LINES, max_size=8))
+def test_parse_config_text_returns_or_raises_configuration_error(lines):
+    try:
+        cfg = parse_config_text("\n".join(lines))
+    except ConfigurationError:
+        return
+    assert cfg["seed"] >= 0 and cfg["encoder.d_z"] >= 1
+    assert cfg["metrics.curve_points"] >= 1 and cfg["metrics.probe_budgets"]
 
 
 def test_schema_help_covers_every_key():
@@ -284,6 +308,97 @@ def test_certify_malformed_csv_exits_2(tmp_path, capsys):
     csv.write_text("z_0,v\n1.0,0.0\n2.0\n")
     assert run_cli("certify", str(csv), "--out", str(tmp_path)) == 2
     assert "row 3" in capsys.readouterr().err
+
+
+_CSV_NAMES = st.one_of(
+    st.sampled_from(["z_0", "z_1", "z_10", "z_\u00b2", "z_\u0663", "z_", "x_0",
+                     "v", "t", "t_0", "y", "alpha", ""]),
+    st.text(max_size=4))
+_CSV_CELLS = st.one_of(
+    st.sampled_from(["1.0", "-2.5e3", "0", "nan", "-inf", "1e999", "", " ",
+                     "0x10", "1_0", "\u0663"]),
+    st.text(max_size=5))
+
+
+@st.composite
+def _csv_bytes(draw):
+    header = draw(st.lists(_CSV_NAMES, min_size=1, max_size=4))
+    rows = draw(st.lists(st.lists(_CSV_CELLS, min_size=len(header),
+                                  max_size=len(header) + 1), max_size=5))
+    text = "\n".join(",".join(r) for r in [header] + rows)
+    return draw(st.one_of(st.just(text.encode("utf-8")),
+                          st.binary(max_size=64).map(
+                              lambda b: text.encode("utf-8") + b),
+                          st.binary(max_size=64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_bytes())
+def test_read_embeddings_csv_returns_finite_arrays_or_rejects(
+        tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(data)
+    try:
+        cols = _read_embeddings_csv(path)
+    except ContractViolation:
+        return
+    assert cols["z"].ndim == 2 and cols["z"].shape[0] >= 1
+    for arr in cols.values():
+        assert arr is None or np.all(np.isfinite(arr))
+
+
+@pytest.mark.parametrize("column, metric", [("y", "label_probe_accuracy"),
+                                            ("v", "leakage_probe_auc")])
+def test_certify_single_class_probe_split_reports_degenerate(tmp_path, column,
+                                                             metric):
+    # one positive row in 300: the probe's training or held-out split
+    # holds a single class
+    z = Rng(3).normal(size=300)
+    csv = tmp_path / "emb.csv"
+    csv.write_text(f"z_0,{column}\n" + "".join(
+        f"{float(c)!r},{1.0 if i == 17 else 0.0!r}\n" for i, c in enumerate(z)))
+    out = tmp_path / "cert"
+    assert run_cli("certify", str(csv), "--out", str(out), "--quiet") == 0
+    entry = json.loads((out / "report.json").read_text())["metrics"][metric]
+    assert entry["status"] == "degenerate" and entry["value"] is None
+    assert re.search("single-class|two classes", entry["detail"]["reason"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--config", "bernoulli_counterexample", "--seed", "-1"],
+     "--seed: seed must be >= 0, got -1"),
+    (["certify", "{tmp}/codes.csv", "--seed", "-1"],
+     "--seed: seed must be >= 0, got -1"),
+    (["verify-theory", "--config", "merged_orbits", "--seed", "-1"],
+     "--seed: seed must be >= 0, got -1"),
+    (["certify", "{tmp}/latin1.csv"], "latin1.csv: cannot read embeddings"),
+    (["run", "--config", "{tmp}/latin1.cfg"], "latin1.cfg: cannot read config"),
+    (["run", "--config", "{tmp}"], "is neither a file nor a bundled name"),
+    (["run", "--config", "{tmp}/d_z.cfg"], "d_z.cfg:2: encoder.d_z must be >= 1"),
+    (["run", "--config", "{tmp}/curve.cfg"],
+     "curve.cfg:2: metrics.curve_points must be >= 1"),
+    (["run", "--config", "{tmp}/budgets.cfg"],
+     "budgets.cfg:2: bad ints value for metrics.probe_budgets: expected at "
+     "least one value"),
+], ids=["run_seed", "certify_seed", "verify_seed", "csv_not_utf8",
+        "config_not_utf8", "config_directory", "d_z_zero", "curve_points_zero",
+        "probe_budgets_empty"])
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv,
+                                               message):
+    (tmp_path / "codes.csv").write_text("z_0\n1.0\n")
+    (tmp_path / "latin1.csv").write_bytes("z_0,v\n1.0,caf\xe9\n".encode("latin-1"))
+    (tmp_path / "latin1.cfg").write_bytes("# caf\xe9\nseed = 1\n".encode("latin-1"))
+    for name, line in (("d_z", "encoder.d_z = 0"),
+                       ("curve", "metrics.curve_points = 0"),
+                       ("budgets", "metrics.probe_budgets =")):
+        (tmp_path / f"{name}.cfg").write_text(f"seed = 1\n{line}\n")
+    out = tmp_path / "out"
+    assert run_cli(*[a.format(tmp=tmp_path) for a in argv],
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+    assert not out.exists()
 
 
 def test_certify_requires_code_columns(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pelab.infotheory import rows_as_codes
+from pelab.infotheory import joint_codes, rows_as_codes
 from pelab.metrics import sufficiency_surrogate
 
 
@@ -52,6 +52,24 @@ def test_rows_as_codes_independent_of_row_order(rows, rnd):
     perm = np.arange(len(rows))
     rnd.shuffle(perm)
     assert np.array_equal(rows_as_codes(x[perm]), rows_as_codes(x)[perm])
+
+
+def _unique_row_codes(*code_arrays):
+    """The former np.unique(axis=0) joint coding, kept as the oracle."""
+    stacked = np.column_stack([np.asarray(c, dtype=np.int64)
+                               for c in code_arrays])
+    return np.unique(stacked, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+_INTS = st.one_of(st.integers(-3, 5), st.integers(-2 ** 63, 2 ** 63 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.lists(_INTS, min_size=k, max_size=k), min_size=1, max_size=40)))
+def test_joint_codes_match_unique_rows(rows):
+    cols = np.array(rows, dtype=np.int64).T
+    assert np.array_equal(joint_codes(*cols), _unique_row_codes(*cols))
 
 
 def test_sufficiency_one_bit_for_scaled_injective_code():

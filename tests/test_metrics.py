@@ -12,6 +12,8 @@ from pelab.metrics import (Curve, MetricInputs, MetricReport,
                            leakage_probe, normalized_mi, probe_data_efficiency,
                            radial_fisher, separability, smoothness,
                            sufficiency_surrogate, uniform_grid)
+from pelab.infotheory import rows_as_codes
+from pelab.metrics import _cap_group, _two_orbit_groups
 from pelab.numerics import Encoder, Rng, identity_encoder, make_encoder
 from pelab.theory import FactorThroughTFamily
 from pelab.worlds import sample_batch
@@ -363,6 +365,53 @@ def test_separability_blocked_mmd_matches_dense_kernels(m, n, d):
     res = separability(a, b)
     oracle = _dense_mmd2(a, b, res["bandwidth_sq"])
     assert abs(res["mmd2"] - oracle) <= 1e-12 * abs(oracle)
+
+
+def _three_branch_groups(z, t):
+    """The former split, kept as the oracle: the two most common row cells
+    for 2-d t, the two most common values for 1-d t with at most 64 of
+    them, the median split otherwise."""
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim > 1:
+        t_codes = rows_as_codes(t)
+        vals, counts = np.unique(t_codes, return_counts=True)
+        if vals.size < 2:
+            return None
+        top = vals[np.argsort(counts)[::-1][:2]]
+        mask_a, mask_b = t_codes == top[0], t_codes == top[1]
+    else:
+        vals = np.unique(t)
+        if vals.size < 2:
+            return None
+        if vals.size <= 64:
+            _, counts = np.unique(t, return_counts=True)
+            top = vals[np.argsort(counts)[::-1][:2]]
+            mask_a, mask_b = t == top[0], t == top[1]
+        else:
+            med = np.median(t)
+            mask_a, mask_b = t <= med, t > med
+    if mask_a.sum() < 20 or mask_b.sum() < 20:
+        return None
+    return _cap_group(z[mask_a]), _cap_group(z[mask_b])
+
+
+@pytest.mark.parametrize("kind", ["discrete_1d", "continuous_1d", "rows_2d",
+                                  "single_valued"])
+def test_two_orbit_groups_match_three_branch_split(kind):
+    rng = np.random.default_rng(11)
+    n = 5000
+    z = rng.normal(size=(n, 3))
+    t = {"discrete_1d": rng.choice([0.6, 0.9, 1.1, 1.4], n,
+                                   p=[0.1, 0.4, 0.3, 0.2]),
+         "continuous_1d": rng.uniform(0.5, 1.5, n),
+         "rows_2d": rng.integers(0, 3, (n, 2)).astype(np.float64),
+         "single_valued": np.full(n, 2.0)}[kind]
+    got, want = _two_orbit_groups(z, t), _three_branch_groups(z, t)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_separability_peak_memory_is_blocked():

@@ -6,7 +6,8 @@ from pelab.numerics import Encoder, Rng, identity_encoder, make_encoder
 from pelab.objectives import ObjectiveSpec
 from pelab.probes import LinearHead
 from pelab.theory import (FactorThroughTFamily, assumption_audit, bayes_risk,
-                          bayes_risk_through_encoder, factorization_residual,
+                          bayes_risk_through_encoder, empirical_bayes_risk,
+                          factorization_residual,
                           monotone_scalar_link, orbit_merging_link,
                           orthogonality_check, risk_of_cells, risk_table,
                           run_scenario, task_risk, two_stage_check)
@@ -74,6 +75,27 @@ def test_coarsening_never_decreases_bayes_risk(bernoulli_world):
             assert merged >= base - 1e-15, (loss, merge)
 
 
+@pytest.mark.parametrize("loss", ["zero_one", "log"])
+def test_empirical_bayes_risk_ignores_constant_columns(loss):
+    rng = np.random.default_rng(4)
+    codes = rng.normal(size=(600, 2))
+    labels = (codes[:, 0] + 0.5 * rng.normal(size=600) > 0).astype(int)
+    padded = np.column_stack([codes[:, :1], np.full(600, 7.0), codes[:, 1:]])
+    assert empirical_bayes_risk(padded, labels, loss, 16, 2) == \
+        empirical_bayes_risk(codes, labels, loss, 16, 2)
+
+
+@pytest.mark.parametrize("loss", ["zero_one", "log"])
+def test_empirical_bayes_risk_of_constant_codes_is_one_cell(loss):
+    labels = np.array([0] * 30 + [1] * 10)
+    post = np.eye(2)[labels]
+    one_cell = risk_of_cells(np.zeros(40, dtype=np.int64),
+                             np.full(40, 1.0 / 40), post, loss)
+    assert empirical_bayes_risk(np.full((40, 3), -2.0), labels, loss, 8,
+                                2) == one_cell
+    assert one_cell > 0.0
+
+
 # ---------------------------------------------------------------------------
 # task risk of concrete heads
 # ---------------------------------------------------------------------------
@@ -126,7 +148,7 @@ def test_factorization_residual_is_zero(rotation_world, rng):
 
 def test_injectivity_witness_detects_merge():
     world = make_rotation_world(radius_values=(0.6, 0.9, 1.1, 1.4))
-    t = world.t_atoms()[0]
+    t = world.t_atoms().x
     good = FactorThroughTFamily(world, monotone_scalar_link(hidden=2))
     assert good.injectivity_witness(t)["ok"]
     bad = FactorThroughTFamily(world, orbit_merging_link())

@@ -148,10 +148,10 @@ def test_rho_batch_rejects_wrong_code_dim(rotation_world):
 
 def test_discrete_radius_world_threshold():
     world = make_rotation_world(radius_values=(0.6, 0.9, 1.1, 1.4))
-    t_vals, w, post = world.t_atoms()
-    assert np.array_equal(t_vals, [0.6, 0.9, 1.1, 1.4])
-    assert np.allclose(w, 0.25)
-    assert np.array_equal(post[:, 1], [0.0, 0.0, 1.0, 1.0])
+    law = world.t_atoms()
+    assert np.array_equal(law.x, [0.6, 0.9, 1.1, 1.4])
+    assert np.allclose(law.weight, 0.25)
+    assert np.array_equal(law.posterior[:, 1], [0.0, 0.0, 1.0, 1.0])
 
 
 def test_batch_csv_round_trip(tmp_path, bernoulli_world):
