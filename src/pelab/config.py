@@ -102,8 +102,12 @@ SCHEMA = {
 }
 
 
-# lower bounds of the keys whose smaller values no command can run with
-_MINIMUM = {"seed": 0, "encoder.d_z": 1, "metrics.curve_points": 1}
+# lower bounds of the keys whose smaller values no command can run with;
+# a binning key needs two cells to tell any two codes apart
+_MINIMUM = {"seed": 0, "encoder.d_z": 1, "metrics.curve_points": 1,
+            "metrics.mi_bins": 2, "theory.resolution": 2}
+# keys that must be strictly positive
+_POSITIVE = ("metrics.curve_alpha_max",)
 
 
 def _checked(key: str, value, where: str):
@@ -111,6 +115,8 @@ def _checked(key: str, value, where: str):
     if key in _MINIMUM and value < _MINIMUM[key]:
         raise ConfigurationError(
             f"{where}: {key} must be >= {_MINIMUM[key]}, got {value}")
+    if key in _POSITIVE and not value > 0:
+        raise ConfigurationError(f"{where}: {key} must be > 0, got {value}")
     return value
 
 

@@ -6,11 +6,12 @@ code matrices, and the composite backpropagates those through the encoder's
 parameters in one stacked pass over both views.  No labels are consumed
 anywhere in this module.
 
-The symmetric InfoNCE shares one exp pass between its row and column
-softmaxes, shifted by the global logit maximum.  When the logits spread over
-more than 700 (possible only with dot similarity; cosine logits satisfy
-|L| <= 1/tau) a shared shift could underflow a whole row, so it falls back to
-two per-row-shifted passes.
+InfoNCE exponentiates its n x n logit matrix in place, unshifted, and
+takes its gradient through thin (n x d) matmuls against it, so no dense n x n
+gradient is built.  That needs |L| <= bound with 2 bound <= 700, where bound
+costs O(n d): 1/tau for cosine logits, max|z_i| max|z+_j| / tau for dot
+logits (Cauchy-Schwarz).  Wider dot logits fall back to a per-row-shifted
+two-pass softmax with a dense gradient.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ SIM_COSINE = "cosine"
 # Numerical floor for cosine normalization; codes this small are degenerate.
 _NORM_FLOOR = 1e-12
 
-# Widest logit spread one shared exp shift tolerates: exp(-700) is still a
-# normal float64, so no row or column sum of the shifted exponentials is 0.
-_SHARED_SHIFT_MAX_SPREAD = 700.0
+# Widest logit range [-bound, bound] (2 bound <= 700) exponentiated without a
+# shift: exp(+-350) is a normal float64, so no row or column sum of exp(L)
+# overflows or is 0.
+_UNSHIFTED_EXP_MAX_SPREAD = 700.0
 
 
 @dataclass
@@ -97,30 +99,37 @@ def _softmax_ce_rows(logits):
     return value, p
 
 
-def nce_from_logits(logits, symmetric=True):
-    """InfoNCE core on a logit matrix whose diagonal holds the positives.
-    Returns (mean loss, gradient w.r.t. logits); ``logits`` is not modified."""
-    if not symmetric:
-        return _softmax_ce_rows(logits)
-    hi = logits.max()
-    if hi - logits.min() > _SHARED_SHIFT_MAX_SPREAD:
-        v1, g1 = _softmax_ce_rows(logits)
-        v2, g2 = _softmax_ce_rows(logits.T)
-        return 0.5 * (v1 + v2), 0.5 * (g1 + g2.T)
-    n = logits.shape[0]
-    e = np.subtract(logits, hi)
-    np.exp(e, out=e)
+def _nce_thin(x, y, bound, symmetric):
+    """InfoNCE on the logits L = x @ y.T, whose diagonal holds the positives,
+    given an upper bound on |L|.  Returns (mean loss, dL/dx, dL/dy).
+
+    The gradient w.r.t. the logits is ds = E o (a 1' + 1 b') - I/n with
+    E = exp(L), a = w/(n rowsum E) and b = w/(n colsum E) (w = 1/2 for the
+    symmetric loss; w = 1 and b = 0 one-sided), so ds @ y and ds' @ x take
+    thin matmuls against E and ds is never built.
+    """
+    n = x.shape[0]
+    logits = x @ y.T
+    if 2.0 * bound > _UNSHIFTED_EXP_MAX_SPREAD:
+        value, ds = _softmax_ce_rows(logits)
+        if symmetric:
+            v2, g2 = _softmax_ce_rows(logits.T)
+            value, ds = 0.5 * (value + v2), 0.5 * (ds + g2.T)
+        return value, ds @ y, ds.T @ x
+    pos = logits.diagonal().copy()
+    e = np.exp(logits, out=logits)
     rows = e.sum(axis=1)
+    row_loss = float(np.mean(np.log(rows) - pos))
+    if not symmetric:
+        a = (1.0 / n / rows)[:, None]
+        return row_loss, a * (e @ y) - y / n, e.T @ (a * x) - x / n
     cols = e.sum(axis=0)
-    pos = np.diag(logits) - hi
-    value = 0.5 * (float(np.mean(np.log(rows) - pos))
-                   + float(np.mean(np.log(cols) - pos)))
-    # d/dL_ij = (softmax_row_ij + softmax_col_ij) / 2n - [i == j] / n
-    grad = e * (0.5 / n / rows)[:, None]
-    e *= (0.5 / n / cols)[None, :]
-    grad += e
-    grad[np.arange(n), np.arange(n)] -= 1.0 / n
-    return value, grad
+    value = 0.5 * (row_loss + float(np.mean(np.log(cols) - pos)))
+    a = (0.5 / n / rows)[:, None]
+    b = (0.5 / n / cols)[:, None]
+    gx = a * (e @ y) + e @ (b * y) - y / n
+    gy = e.T @ (a * x) + b * (e.T @ x) - x / n
+    return value, gx, gy
 
 
 def infonce_value_grad(z, zp, tau, sim=SIM_DOT, symmetric=True):
@@ -130,17 +139,18 @@ def infonce_value_grad(z, zp, tau, sim=SIM_DOT, symmetric=True):
     if n < 2:
         raise ContractViolation("infonce requires batch size >= 2")
     if sim == SIM_DOT:
-        logits = (z / tau) @ zp.T
-        value, ds = nce_from_logits(logits, symmetric)
-        return value, (ds @ zp) / tau, (ds.T @ z) / tau
+        x = z / tau
+        # Cauchy-Schwarz: |x_i . zp_j| <= max|x_i| max|zp_j|
+        bound = (np.linalg.norm(x, axis=1).max()
+                 * np.linalg.norm(zp, axis=1).max())
+        value, gx, gzp = _nce_thin(x, zp, bound, symmetric)
+        return value, gx / tau, gzp
     # cosine: normalize rows, differentiate through the normalization
     zn = np.maximum(np.linalg.norm(z, axis=1, keepdims=True), _NORM_FLOOR)
     zpn = np.maximum(np.linalg.norm(zp, axis=1, keepdims=True), _NORM_FLOOR)
     zh, zph = z / zn, zp / zpn
-    logits = (zh / tau) @ zph.T
-    value, ds = nce_from_logits(logits, symmetric)
-    gzh = (ds @ zph) / tau
-    gzph = (ds.T @ zh) / tau
+    value, gx, gzph = _nce_thin(zh / tau, zph, 1.0 / tau, symmetric)
+    gzh = gx / tau
     gz = (gzh - np.sum(gzh * zh, axis=1, keepdims=True) * zh) / zn
     gzp = (gzph - np.sum(gzph * zph, axis=1, keepdims=True) * zph) / zpn
     return value, gz, gzp

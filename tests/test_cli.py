@@ -401,6 +401,28 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("metrics.mi_bins = 0", "metrics.mi_bins must be >= 2, got 0"),
+    ("metrics.mi_bins = 1", "metrics.mi_bins must be >= 2, got 1"),
+    ("theory.resolution = 1", "theory.resolution must be >= 2, got 1"),
+    ("metrics.curve_alpha_max = 0.0",
+     "metrics.curve_alpha_max must be > 0, got 0.0"),
+    ("metrics.curve_alpha_max = -1.0",
+     "metrics.curve_alpha_max must be > 0, got -1.0"),
+], ids=["mi_bins_zero", "mi_bins_one", "resolution_one", "alpha_max_zero",
+        "alpha_max_negative"])
+def test_binning_key_below_its_bound_exits_2(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bins.cfg"
+    cfg.write_text("seed = 3\nworld.kind = bernoulli_uv\n"
+                   f"encoder.arch = linear\nencoder.d_z = 2\n{line}\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"bins.cfg:5: {message}" in err
+    assert not out.exists()
+
+
 def test_certify_requires_code_columns(tmp_path):
     csv = tmp_path / "bad.csv"
     csv.write_text("a,b\n1.0,2.0\n")

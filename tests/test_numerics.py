@@ -142,6 +142,19 @@ def test_param_gradient_stacked_equals_separate_backprops(arch, two_view):
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12
 
 
+@pytest.mark.parametrize("arch", ["linear", "mlp1"])
+def test_backprop_with_forward_hidden_is_bit_identical(arch):
+    rng = Rng(5)
+    enc = make_encoder(arch, 2, 3, 6, rng)
+    x = rng.normal(size=(20, 2))
+    gz = rng.normal(size=(20, 3))
+    z, hidden = enc._forward_hidden(x)
+    assert np.array_equal(z, enc.forward(x))
+    assert (hidden is None) == (arch == "linear")
+    assert np.array_equal(enc.backprop_params(x, gz, hidden),
+                          enc.backprop_params(x, gz))
+
+
 def test_finite_diff_quadratic():
     grad = finite_diff(lambda p: 0.5 * np.sum(p * p), np.array([1.0, 2.0]), 1e-5)
     assert np.allclose(grad, [1.0, 2.0], atol=1e-8)

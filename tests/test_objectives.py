@@ -1,9 +1,14 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pelab
 from pelab import objectives
+from pelab.config import load_config
 from pelab.errors import ConfigurationError, ContractViolation
 from pelab.numerics import (Encoder, Rng, finite_diff, identity_encoder,
                             make_encoder, relative_l2_error)
@@ -11,7 +16,7 @@ from pelab.objectives import (ObjectiveSpec, _softmax_ce_rows,
                               covariance_penalty,
                               equivariance_loss, infonce_loss,
                               infonce_value_grad, invariance_loss,
-                              nce_from_logits, perc_loss, variance_floor)
+                              perc_loss, variance_floor)
 from pelab.worlds import Batch, make_rotation_world, sample_batch
 
 
@@ -111,18 +116,24 @@ def test_equivariance_requires_rho(rng):
 
 def test_infonce_uniform_logits_equals_log_n():
     for n in (2, 5, 17):
-        value, _ = nce_from_logits(np.zeros((n, n)))
-        assert abs(value - np.log(n)) <= 1e-12
+        for sim in ("dot", "cosine"):
+            # zero codes give all-zero dot logits; identical rows give
+            # cosine logits all equal to 1/tau
+            z = np.zeros((n, 3)) if sim == "dot" else np.ones((n, 3))
+            value, _, _ = infonce_value_grad(z, z.copy(), tau=0.5, sim=sim)
+            assert abs(value - np.log(n)) <= 1e-12, (n, sim)
 
 
 def test_infonce_perturbing_any_logit_changes_loss():
+    # dot logits of z = I are L = zp' / tau, so zp[j, i] moves L[i, j] alone
     n = 4
-    base, _ = nce_from_logits(np.zeros((n, n)))
+    z = np.eye(n)
+    base, _, _ = infonce_value_grad(z, np.zeros((n, n)), tau=1.0)
     for i in range(n):
         for j in range(n):
-            bumped = np.zeros((n, n))
-            bumped[i, j] = 1e-3
-            value, _ = nce_from_logits(bumped)
+            zp = np.zeros((n, n))
+            zp[j, i] = 1e-3
+            value, _, _ = infonce_value_grad(z, zp, tau=1.0)
             assert value != base, (i, j)
 
 
@@ -132,9 +143,61 @@ def _two_pass_nce(logits):
     return 0.5 * (v1 + v2), 0.5 * (g1 + g2.T)
 
 
+def _dense_symmetric_nce(logits, symmetric=True):
+    """Dense oracle for the thin kernel: one exp pass shifted by the global
+    maximum and a dense n x n gradient, with the per-row two-pass kernel
+    beyond a logit spread of 700 and for the one-sided loss."""
+    if not symmetric:
+        return _softmax_ce_rows(logits)
+    hi = logits.max()
+    if hi - logits.min() > 700.0:
+        return _two_pass_nce(logits)
+    n = logits.shape[0]
+    e = np.exp(logits - hi)
+    rows = e.sum(axis=1)
+    cols = e.sum(axis=0)
+    pos = np.diag(logits) - hi
+    value = 0.5 * (float(np.mean(np.log(rows) - pos))
+                   + float(np.mean(np.log(cols) - pos)))
+    grad = e * (0.5 / n / rows)[:, None] + e * (0.5 / n / cols)[None, :]
+    grad[np.arange(n), np.arange(n)] -= 1.0 / n
+    return value, grad
+
+
+def _dense_infonce(z, zp, tau, sim, symmetric):
+    """infonce_value_grad through the dense oracle kernel."""
+    if sim == "dot":
+        value, ds = _dense_symmetric_nce((z / tau) @ zp.T, symmetric)
+        return value, (ds @ zp) / tau, (ds.T @ z) / tau
+    zn = np.linalg.norm(z, axis=1, keepdims=True)
+    zpn = np.linalg.norm(zp, axis=1, keepdims=True)
+    zh, zph = z / zn, zp / zpn
+    value, ds = _dense_symmetric_nce((zh / tau) @ zph.T, symmetric)
+    gzh, gzph = (ds @ zph) / tau, (ds.T @ zh) / tau
+    return (value,
+            (gzh - np.sum(gzh * zh, axis=1, keepdims=True) * zh) / zn,
+            (gzph - np.sum(gzph * zph, axis=1, keepdims=True) * zph) / zpn)
+
+
+def _logit_bound(z, zp, tau, sim):
+    if sim == "cosine":
+        return 1.0 / tau
+    return (np.linalg.norm(z, axis=1).max()
+            * np.linalg.norm(zp, axis=1).max() / tau)
+
+
+def _thin_nce_of_logits(logits, symmetric=True):
+    """The thin kernel on a given logit matrix, factored as logits @ I'; the
+    gradient w.r.t. the first factor is then the logit gradient itself."""
+    n = logits.shape[0]
+    value, ds, _ = objectives._nce_thin(logits, np.eye(n),
+                                        float(np.abs(logits).max()), symmetric)
+    return value, ds
+
+
 @pytest.fixture
 def two_pass_calls(monkeypatch):
-    """Counts calls of the per-row two-pass kernel made by nce_from_logits."""
+    """Counts calls of the per-row two-pass fallback kernel."""
     calls = []
 
     def spy(logits):
@@ -145,25 +208,51 @@ def two_pass_calls(monkeypatch):
     return calls
 
 
+# (tau, code scale) per similarity: 2 bound below 700, then above it
+_BOUND_CASES = {"dot": [(0.5, 1.0), (0.5, 30.0)],
+                "cosine": [(0.5, 1.0), (1e-3, 1.0)]}
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["below700", "above700"])
+@pytest.mark.parametrize("n", [2, 5, 64, 257])
+@pytest.mark.parametrize("symmetric", [True, False],
+                         ids=["symmetric", "one_sided"])
+@pytest.mark.parametrize("sim", ["dot", "cosine"])
+def test_infonce_thin_gradient_matches_dense_oracle(sim, symmetric, n, wide,
+                                                    two_pass_calls):
+    tau, scale = _BOUND_CASES[sim][wide]
+    rng = Rng(n)
+    z = scale * rng.normal(size=(n, 3))
+    zp = z + 0.3 * scale * rng.normal(size=(n, 3))
+    ref_value, ref_gz, ref_gzp = _dense_infonce(z, zp, tau, sim, symmetric)
+    value, gz, gzp = infonce_value_grad(z, zp, tau, sim, symmetric)
+    fallback = 2.0 * _logit_bound(z, zp, tau, sim) > 700.0
+    assert fallback == wide
+    assert len(two_pass_calls) == (2 if symmetric else 1) * fallback
+    assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
+    for g, ref in ((gz, ref_gz), (gzp, ref_gzp)):
+        assert np.max(np.abs(g - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 300.0])
 @pytest.mark.parametrize("n", [2, 5, 64])
 def test_fused_symmetric_nce_matches_two_pass(scale, n, two_pass_calls):
-    # uniform on [-scale, scale]: the spread stays below 700, so the shared
-    # shift is taken even at scale 300
+    # uniform on [-scale, scale]: 2 bound stays below 700, so the thin path
+    # is taken even at scale 300
     logits = Rng(n).uniform(-scale, scale, size=(n, n))
     ref_value, ref_grad = _two_pass_nce(logits)
-    value, grad = nce_from_logits(logits)
+    value, grad = _thin_nce_of_logits(logits)
     assert two_pass_calls == []
     assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12
 
 
 def test_symmetric_nce_falls_back_beyond_shared_shift_range(two_pass_calls):
-    # under the global shift every entry of row 1 would underflow to 0
+    # unshifted, every entry of row 1 would underflow to 0
     logits = np.array([[0.0, -800.0, -800.0],
                        [-1000.0, -900.0, -1000.0],
                        [-800.0, -800.0, -10.0]])
-    value, grad = nce_from_logits(logits)
+    value, grad = _thin_nce_of_logits(logits)
     assert len(two_pass_calls) == 2
     ref_value, ref_grad = _two_pass_nce(logits)
     assert np.isfinite(value) and np.all(np.isfinite(grad))
@@ -171,13 +260,16 @@ def test_symmetric_nce_falls_back_beyond_shared_shift_range(two_pass_calls):
     assert np.array_equal(grad, ref_grad)
 
 
+@pytest.mark.parametrize("sim", ["dot", "cosine"])
 @pytest.mark.parametrize("symmetric", [True, False])
 @pytest.mark.parametrize("scale", [1.0, 1000.0])
-def test_nce_from_logits_leaves_input_unchanged(symmetric, scale):
-    logits = Rng(3).normal(0.0, scale, size=(16, 16))
-    before = logits.tobytes()
-    nce_from_logits(logits, symmetric)
-    assert logits.tobytes() == before
+def test_infonce_leaves_input_unchanged(symmetric, scale, sim):
+    rng = Rng(3)
+    z = rng.normal(0.0, scale, size=(16, 3))
+    zp = rng.normal(0.0, scale, size=(16, 3))
+    before = z.tobytes(), zp.tobytes()
+    infonce_value_grad(z, zp, 0.5, sim, symmetric)
+    assert (z.tobytes(), zp.tobytes()) == before
 
 
 def test_infonce_two_point_hand_value():
@@ -307,6 +399,24 @@ def test_perc_loss_eq_requires_rho(rng):
     batch = sample_batch(world, 8, rng, with_labels=False)
     with pytest.raises(ConfigurationError):
         perc_loss(enc, batch, ObjectiveSpec(w_eq=1.0), rho_source=None)
+
+
+def test_perc_loss_peak_memory_is_one_logit_matrix():
+    # rotation_pel's weights at batch 1024: the 1024 x 1024 float64 logits
+    # take 8.4 MB; a second n x n buffer would push the peak past 16 MB
+    cfg = load_config(Path(pelab.__file__).parent / "configs"
+                      / "rotation_pel.cfg")
+    rng = Rng(0)
+    enc = make_encoder("mlp1", 2, 4, 32, rng, init_scale=4.0)
+    batch = sample_batch(make_rotation_world(), 1024, rng, with_labels=False)
+    spec = cfg.build_objective()
+    tracemalloc.start()
+    try:
+        perc_loss(enc, batch, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, peak
 
 
 def test_objective_spec_validation():
