@@ -133,9 +133,11 @@ def normalized_mi(zbatch, v, n_bins: int = 8, max_dims: int = 2) -> float:
 # ---------------------------------------------------------------------------
 
 def smoothness(enc: Encoder, world: World, n: int, rng: Rng) -> float:
-    """Monte Carlo E||d f / d x||_F^2 (Jacobian energy)."""
+    """Monte Carlo E||d f / d x||_F^2 (Jacobian energy), from the Jacobians
+    of the whole sample at once."""
     x = world.sample_x(rng, n)
-    return float(np.mean([np.sum(enc.input_jacobian(xi) ** 2) for xi in x]))
+    jac = enc.input_jacobians(x)
+    return float(np.mean(np.sum((jac * jac).reshape(len(jac), -1), axis=1)))
 
 
 def geometry_diagnostics(zbatch, gamma: float) -> dict:

@@ -4,8 +4,9 @@ every analytic gradient in this package is validated against.
 
 All arrays are numpy float64 in row-major layout.  Batches are (n, d) with one
 sample per row.  Encoders are either a plain linear map or a one-hidden-layer
-tanh network ("mlp1"); both expose forward evaluation, the input Jacobian at a
-point, and parameter backpropagation for an arbitrary upstream code gradient.
+tanh network ("mlp1"); both expose forward evaluation, the input Jacobians of
+a batch (one point is the one-row case), and parameter backpropagation for an
+arbitrary upstream code gradient.
 """
 
 from __future__ import annotations
@@ -16,6 +17,11 @@ from .errors import ContractViolation
 
 ARCH_LINEAR = "linear"
 ARCH_MLP1 = "mlp1"
+
+# Widest logit range [-bound, bound] (2 bound <= 700) exponentiated without a
+# shift: exp(+-350) is a normal float64, so no row or column sum of exp(L)
+# over fewer than 1e150 terms overflows or is 0.
+UNSHIFTED_EXP_MAX_SPREAD = 700.0
 
 
 def as_samples(a) -> np.ndarray:
@@ -184,15 +190,21 @@ class Encoder:
         h = self._hidden(self._as_batch(xbatch))
         return h @ self.W2.T + self.b2, h
 
+    def input_jacobians(self, xbatch: np.ndarray) -> np.ndarray:
+        """Exact dz/dx at every row of a batch (n, d_x), shape (n, d_z, d_x):
+        W1 for the linear arch, W2 diag(1 - h_i^2) W1 for mlp1."""
+        xbatch = self._as_batch(xbatch)
+        if self.arch == ARCH_LINEAR:
+            return np.repeat(self.W1[None], xbatch.shape[0], axis=0)
+        h = self._hidden(xbatch)
+        return (self.W2 * (1.0 - h * h)[:, None, :]) @ self.W1
+
     def input_jacobian(self, x: np.ndarray) -> np.ndarray:
         """Exact dz/dx at a single point, shape (d_z, d_x)."""
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.shape != (self.d_x,):
             raise ContractViolation(f"expected point of dim {self.d_x}")
-        if self.arch == ARCH_LINEAR:
-            return self.W1.copy()
-        h = np.tanh(self.W1 @ x + self.b1)
-        return (self.W2 * (1.0 - h * h)) @ self.W1
+        return self.input_jacobians(x[None])[0]
 
     def backprop_params(self, xbatch: np.ndarray, grad_z: np.ndarray,
                         hidden: np.ndarray | None = None) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, DegenerateError
-from .numerics import param_gradient
+from .numerics import UNSHIFTED_EXP_MAX_SPREAD, param_gradient
 from .worlds import rho_batch
 
 SIM_DOT = "dot"
@@ -29,11 +29,6 @@ SIM_COSINE = "cosine"
 
 # Numerical floor for cosine normalization; codes this small are degenerate.
 _NORM_FLOOR = 1e-12
-
-# Widest logit range [-bound, bound] (2 bound <= 700) exponentiated without a
-# shift: exp(+-350) is a normal float64, so no row or column sum of exp(L)
-# overflows or is 0.
-_UNSHIFTED_EXP_MAX_SPREAD = 700.0
 
 
 @dataclass
@@ -110,7 +105,7 @@ def _nce_thin(x, y, bound, symmetric):
     """
     n = x.shape[0]
     logits = x @ y.T
-    if 2.0 * bound > _UNSHIFTED_EXP_MAX_SPREAD:
+    if 2.0 * bound > UNSHIFTED_EXP_MAX_SPREAD:
         value, ds = _softmax_ce_rows(logits)
         if symmetric:
             v2, g2 = _softmax_ce_rows(logits.T)

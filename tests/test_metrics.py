@@ -173,6 +173,28 @@ def test_smoothness_quadratic_homogeneity(rotation_world):
     assert abs(s2 - 4.0 * s1) <= 1e-9
 
 
+def _pointwise_smoothness(enc, world, n, rng):
+    """smoothness as one input_jacobian call per sampled point."""
+    x = world.sample_x(rng, n)
+    return float(np.mean([np.sum(enc.input_jacobian(xi) ** 2) for xi in x]))
+
+
+@pytest.mark.parametrize("n", [1, 7, 4096])
+@pytest.mark.parametrize("arch, d_z, d_hidden",
+                         [("linear", 2, 0), ("linear", 5, 0), ("mlp1", 4, 32)])
+@pytest.mark.parametrize("world", ["rotation_world", "bernoulli_world"])
+def test_smoothness_batch_matches_pointwise_jacobians(world, arch, d_z,
+                                                      d_hidden, n, request):
+    world = request.getfixturevalue(world)
+    enc = make_encoder(arch, world.d_x, d_z, d_hidden, Rng(n), init_scale=4.0)
+    s = smoothness(enc, world, n, Rng(2))
+    ref = _pointwise_smoothness(enc, world, n, Rng(2))
+    if arch == "linear":
+        assert s == ref
+    else:
+        assert abs(s - ref) <= 1e-12 * ref
+
+
 def test_geometry_diagnostics_whitened_and_collapsed(rng):
     z = rng.normal(size=(5000, 4))
     geo = geometry_diagnostics(z, gamma=1.0)
