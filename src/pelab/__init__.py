@@ -4,12 +4,8 @@ perception/decision separation theory."""
 
 from .errors import (ConfigurationError, ContractViolation, DegenerateError,
                      DivergenceError, NotApplicableError, PelabError)
-from .numerics import (Encoder, Rng, finite_diff, identity_encoder,
-                       load_params, make_encoder, param_gradient,
-                       relative_l2_error, save_params)
-from .objectives import (ObjectiveSpec, covariance_penalty, equivariance_loss,
-                         infonce_loss, invariance_loss, perc_loss,
-                         variance_floor)
+from .numerics import Encoder, Rng, finite_diff, make_encoder, param_gradient
+from .objectives import ObjectiveSpec, perc_loss
 from .worlds import (Batch, World, export_batch_csv, make_bernoulli_uv_world,
                      make_rotation_world, make_six_nine_world, sample_batch)
 from .metrics import (Curve, MetricInputs, MetricReport, MetricSuiteOptions,

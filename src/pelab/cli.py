@@ -193,6 +193,10 @@ def _read_embeddings_csv(path: Path) -> dict:
             if not header_line:
                 raise ContractViolation(f"{path}: empty file")
             header = [h.strip() for h in header_line.split(",")]
+            dup = next((h for i, h in enumerate(header) if h in header[:i]),
+                       None)
+            if dup is not None:
+                raise ContractViolation(f"{path}: duplicate column {dup!r}")
             rows = []
             for lineno, raw in enumerate(fh, start=2):
                 if not raw.strip():

@@ -57,11 +57,6 @@ class Curve:
                 "values": [float(v) for v in self.values],
                 "auc": self.auc}
 
-    @staticmethod
-    def from_dict(d):
-        return Curve(np.array(d["alphas"]), np.array(d["values"]))
-
-
 def invariance_curve(enc: Encoder, world: World, grid, n: int, rng: Rng) -> Curve:
     """Monte Carlo D(alpha) = E||f(x) - f(tau_alpha x)||^2 on a magnitude grid.
 
@@ -364,11 +359,6 @@ class MetricEntry:
     def to_dict(self):
         return {"value": self.value, "status": self.status, "detail": self.detail}
 
-    @staticmethod
-    def from_dict(d):
-        return MetricEntry(value=d["value"], status=d["status"], detail=d["detail"])
-
-
 @dataclass
 class MetricReport:
     metrics: dict = field(default_factory=dict)    # name -> MetricEntry
@@ -398,16 +388,6 @@ class MetricReport:
             "notes": self.notes,
         }
         return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "MetricReport":
-        doc = json.loads(text)
-        rep = MetricReport(config_hash=doc["config_hash"], seed=doc["seed"],
-                           theory=doc["theory"], notes=doc["notes"])
-        rep.metrics = {k: MetricEntry.from_dict(v) for k, v in doc["metrics"].items()}
-        rep.curves = {k: Curve.from_dict(v) for k, v in doc["curves"].items()}
-        return rep
-
 
 @dataclass
 class MetricSuiteOptions:

@@ -6,7 +6,9 @@ All arrays are numpy float64 in row-major layout.  Batches are (n, d) with one
 sample per row.  Encoders are either a plain linear map or a one-hidden-layer
 tanh network ("mlp1"); both expose forward evaluation, the input Jacobians of
 a batch (one point is the one-row case), and parameter backpropagation for an
-arbitrary upstream code gradient.
+arbitrary upstream code gradient.  ``exp_rows`` is the one row
+exponentiation that InfoNCE and the probes share: unshifted while the logits'
+bound allows it, shifted by each row's maximum beyond.
 """
 
 from __future__ import annotations
@@ -22,6 +24,23 @@ ARCH_MLP1 = "mlp1"
 # shift: exp(+-350) is a normal float64, so no row or column sum of exp(L)
 # over fewer than 1e150 terms overflows or is 0.
 UNSHIFTED_EXP_MAX_SPREAD = 700.0
+
+
+def exp_shifts(bound: float) -> bool:
+    """Whether logits with |L| <= bound must be shifted before exp."""
+    return 2.0 * bound > UNSHIFTED_EXP_MAX_SPREAD
+
+
+def exp_rows(logits: np.ndarray, bound: float):
+    """Overwrite ``logits`` (|L| <= bound) with exp(logits - c) and return
+    (c, row sums): c is 0 while ``exp_shifts(bound)`` is false, else each
+    row's maximum; ``np.inf`` always shifts."""
+    c = 0.0
+    if exp_shifts(bound):
+        c = logits.max(axis=1)
+        logits -= c[:, None]
+    np.exp(logits, out=logits)
+    return c, logits.sum(axis=1)
 
 
 def as_samples(a) -> np.ndarray:
@@ -253,10 +272,6 @@ def make_encoder(arch: str, d_x: int, d_z: int, d_hidden: int = 0,
     raise ContractViolation(f"unknown encoder arch {arch!r}")
 
 
-def identity_encoder(d: int) -> Encoder:
-    return Encoder(ARCH_LINEAR, np.eye(d), np.zeros(d))
-
-
 # ---------------------------------------------------------------------------
 # Gradients
 # ---------------------------------------------------------------------------
@@ -294,35 +309,3 @@ def finite_diff(fn, params: np.ndarray, step: float) -> np.ndarray:
         bump[i] = step
         grad[i] = (fn(params + bump) - fn(params - bump)) / (2.0 * step)
     return grad
-
-
-def relative_l2_error(approx: np.ndarray, exact: np.ndarray) -> float:
-    """|a - b| / max(|a|, |b|, 1e-12) in the L2 sense."""
-    denom = max(float(np.linalg.norm(approx)), float(np.linalg.norm(exact)), 1e-12)
-    return float(np.linalg.norm(approx - exact)) / denom
-
-
-# ---------------------------------------------------------------------------
-# Parameter serialization (columnar text, one value per line)
-# ---------------------------------------------------------------------------
-
-def save_params(enc: Encoder, path) -> None:
-    lines = [f"# arch={enc.arch} d_x={enc.d_x} d_z={enc.d_z} d_hidden={enc.d_hidden}"]
-    lines += [repr(float(v)) for v in enc.get_flat_params()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_params(path) -> Encoder:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        values = np.array([float(line) for line in fh if line.strip()])
-    if not header.startswith("# arch="):
-        raise ContractViolation(f"{path}: missing parameter header")
-    fields = dict(item.split("=") for item in header[2:].split())
-    arch = fields["arch"]
-    d_x, d_z, d_h = int(fields["d_x"]), int(fields["d_z"]), int(fields["d_hidden"])
-    enc = make_encoder(arch, d_x, d_z, d_h)
-    enc.set_flat_params(values)
-    enc.mutation_count = 0
-    return enc

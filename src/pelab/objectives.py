@@ -6,12 +6,15 @@ code matrices, and the composite backpropagates those through the encoder's
 parameters in one stacked pass over both views.  No labels are consumed
 anywhere in this module.
 
-InfoNCE exponentiates its n x n logit matrix in place, unshifted, and
-takes its gradient through thin (n x d) matmuls against it, so no dense n x n
-gradient is built.  That needs |L| <= bound with 2 bound <= 700, where bound
-costs O(n d): 1/tau for cosine logits, max|z_i| max|z+_j| / tau for dot
-logits (Cauchy-Schwarz).  Wider dot logits fall back to a per-row-shifted
-two-pass softmax with a dense gradient.
+InfoNCE exponentiates its n x n logit matrix in place with
+``numerics.exp_rows`` and takes its gradient through thin (n x d) matmuls
+against it, so no dense n x n gradient is built.  The shift rule reads an
+O(n d) bound on |L|: 1/tau for cosine logits, max|z_i| max|z+_j| / tau for
+dot logits (Cauchy-Schwarz).  While 2 bound <= 700 the logits stay
+unshifted and one exp pass serves both directions of the symmetric loss;
+wider dot logits are shifted per row, and the symmetric loss is then the
+mean of the two one-sided losses, taken one after the other with one n x n
+buffer each.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, DegenerateError
-from .numerics import UNSHIFTED_EXP_MAX_SPREAD, param_gradient
+from .numerics import exp_rows, exp_shifts, param_gradient
 from .worlds import rho_batch
 
 SIM_DOT = "dot"
@@ -78,43 +81,26 @@ def equivariance_value_grad(z, zp, rho_mats):
     return value, gz, gzp
 
 
-def _softmax_ce_rows(logits):
-    """Per-row softmax cross entropy with the diagonal as targets.
-    Returns (mean loss, gradient w.r.t. logits)."""
-    n = logits.shape[0]
-    m = logits.max(axis=1, keepdims=True)
-    p = np.subtract(logits, m)
-    np.exp(p, out=p)
-    denom = p.sum(axis=1, keepdims=True)
-    log_denom = m[:, 0] + np.log(denom[:, 0])
-    value = float(np.mean(log_denom - np.diag(logits)))
-    p /= denom
-    p[np.arange(n), np.arange(n)] -= 1.0
-    p /= n
-    return value, p
-
-
 def _nce_thin(x, y, bound, symmetric):
     """InfoNCE on the logits L = x @ y.T, whose diagonal holds the positives,
     given an upper bound on |L|.  Returns (mean loss, dL/dx, dL/dy).
 
     The gradient w.r.t. the logits is ds = E o (a 1' + 1 b') - I/n with
-    E = exp(L), a = w/(n rowsum E) and b = w/(n colsum E) (w = 1/2 for the
-    symmetric loss; w = 1 and b = 0 one-sided), so ds @ y and ds' @ x take
-    thin matmuls against E and ds is never built.
+    E = exp(L - c 1'), a = w/(n rowsum E) and b = w/(n colsum E) (w = 1/2
+    for the symmetric loss; w = 1 and b = 0 one-sided), so ds @ y and
+    ds' @ x take thin matmuls against E and ds is never built.  A row shift
+    c leaves a o E unchanged; column sums need c = 0, so shifted symmetric
+    logits take the one-sided loss of (x, y) and of (y, x).
     """
     n = x.shape[0]
-    logits = x @ y.T
-    if 2.0 * bound > UNSHIFTED_EXP_MAX_SPREAD:
-        value, ds = _softmax_ce_rows(logits)
-        if symmetric:
-            v2, g2 = _softmax_ce_rows(logits.T)
-            value, ds = 0.5 * (value + v2), 0.5 * (ds + g2.T)
-        return value, ds @ y, ds.T @ x
-    pos = logits.diagonal().copy()
-    e = np.exp(logits, out=logits)
-    rows = e.sum(axis=1)
-    row_loss = float(np.mean(np.log(rows) - pos))
+    if symmetric and exp_shifts(bound):
+        v1, gx1, gy1 = _nce_thin(x, y, bound, False)
+        v2, gy2, gx2 = _nce_thin(y, x, bound, False)
+        return 0.5 * (v1 + v2), 0.5 * (gx1 + gx2), 0.5 * (gy1 + gy2)
+    e = x @ y.T
+    pos = e.diagonal().copy()
+    c, rows = exp_rows(e, bound)
+    row_loss = float(np.mean(c + np.log(rows) - pos))
     if not symmetric:
         a = (1.0 / n / rows)[:, None]
         return row_loss, a * (e @ y) - y / n, e.T @ (a * x) - x / n
@@ -184,39 +170,6 @@ def covariance_penalty_value_grad(z):
     # to zero, so the centering chain rule is again a no-op.
     grad = (2.0 / (n - 1)) * centered @ (2.0 * off)
     return value, grad
-
-
-# ---------------------------------------------------------------------------
-# Encoder-level wrappers
-# ---------------------------------------------------------------------------
-
-def invariance_loss(enc, batch) -> float:
-    value, _, _ = invariance_value_grad(enc.forward(batch.x), enc.forward(batch.x_plus))
-    return value
-
-
-def equivariance_loss(enc, batch, rho) -> float:
-    """``rho`` is a transform family declaring a code-space representation."""
-    z = enc.forward(batch.x)
-    mats = rho_batch(rho, batch.deltas, z.shape[1])
-    value, _, _ = equivariance_value_grad(z, enc.forward(batch.x_plus), mats)
-    return value
-
-
-def infonce_loss(enc, batch, tau, sim=SIM_DOT, symmetric=True) -> float:
-    value, _, _ = infonce_value_grad(
-        enc.forward(batch.x), enc.forward(batch.x_plus), tau, sim, symmetric)
-    return value
-
-
-def variance_floor(zbatch, gamma) -> float:
-    value, _ = variance_floor_value_grad(np.asarray(zbatch, dtype=np.float64), gamma)
-    return value
-
-
-def covariance_penalty(zbatch) -> float:
-    value, _ = covariance_penalty_value_grad(np.asarray(zbatch, dtype=np.float64))
-    return value
 
 
 def perc_loss(enc, batch, spec: ObjectiveSpec, rho_source=None):

@@ -9,9 +9,9 @@ The training loop never builds an n x k probability matrix.  The weights
 carry the bias as a last column against a constant feature, and the
 per-class sums S of the training rows (that column holds the class counts)
 are taken once, so each epoch's gradient is (P' Z - S) / m.  The logits are
-exponentiated without a shift while the O((m + k) d) bound
-max|z_i| max|W_c| + max|b_c| on |logit| keeps 2 bound within
-``UNSHIFTED_EXP_MAX_SPREAD``; wider logits are shifted by their row max.
+exponentiated by ``numerics.exp_rows`` against the O((m + k) d) bound
+max|z_i| max|W_c| + max|b_c| on |logit|: unshifted while the bound allows,
+shifted by their row max beyond; ``softmax`` always shifts.
 Rows pass through one reused buffer in blocks of about ``BLOCK_ENTRIES``
 entries, so a probe with thousands of classes holds only a block of logits,
 and the validation loss is read as log-sum-exp minus the target logit.
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, DegenerateError
-from .numerics import UNSHIFTED_EXP_MAX_SPREAD, Rng, as_samples
+from .numerics import Rng, as_samples, exp_rows
 
 LOG2 = np.log(2.0)
 
@@ -35,21 +35,10 @@ LOG2 = np.log(2.0)
 BLOCK_ENTRIES = 1 << 16
 
 
-def _exp_rows(logits: np.ndarray, shift: bool):
-    """Overwrite ``logits`` with exp(logits - c) and return (c, row sums):
-    c is each row's maximum when ``shift``, else 0."""
-    c = 0.0
-    if shift:
-        c = logits.max(axis=1)
-        logits -= c[:, None]
-    np.exp(logits, out=logits)
-    return c, logits.sum(axis=1)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax computed in place: ``logits`` (float64) is
     overwritten with the probabilities and returned."""
-    _, sums = _exp_rows(logits, shift=True)
+    _, sums = exp_rows(logits, np.inf)
     logits /= sums[:, None]
     return logits
 
@@ -119,7 +108,7 @@ def fit_linear_probe(z: np.ndarray, y: np.ndarray, rng: Rng,
     step = max(1, BLOCK_ENTRIES // k)
     buf = np.empty((min(step, max(m, n_val)), k))
     Wb = np.zeros((k, d + 1))
-    shift = False                 # every logit is 0 while Wb = 0
+    bound = 0.0                   # every logit is 0 while Wb = 0
     best = (np.inf, Wb.copy())
     stale = 0
     for _ in range(epochs):
@@ -128,18 +117,18 @@ def fit_linear_probe(z: np.ndarray, y: np.ndarray, rng: Rng,
             zb = z_tr[lo:lo + step]
             e = buf[:zb.shape[0]]
             np.matmul(zb, Wb.T, out=e)
-            _, sums = _exp_rows(e, shift)
+            _, sums = exp_rows(e, bound)
             grad += e.T @ (zb / sums[:, None])
         grad /= m
         Wb -= lr * grad
-        shift = 2.0 * _logit_bound(z_norm_max, Wb) > UNSHIFTED_EXP_MAX_SPREAD
+        bound = _logit_bound(z_norm_max, Wb)
         loss = 0.0
         for lo in range(0, n_val, step):
             zb, yb = z_val[lo:lo + step], y_val[lo:lo + step]
             e = buf[:zb.shape[0]]
             np.matmul(zb, Wb.T, out=e)
             target = e[np.arange(yb.size), yb]
-            c, sums = _exp_rows(e, shift)
+            c, sums = exp_rows(e, bound)
             loss += float(np.sum(c + np.log(sums) - target))
         val_loss = loss / n_val / LOG2
         if val_loss < best[0] - 1e-12:

@@ -44,6 +44,18 @@ class TrainConfig:
             raise ConfigurationError("learning rate must be finite and >= 0")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
+        # a beta of 1 leaves Adam's bias correction 1 - beta^t at 0
+        for name in ("adam_beta1", "adam_beta2"):
+            beta = getattr(self, name)
+            if not 0.0 <= beta < 1.0:
+                raise ConfigurationError(
+                    f"{name} must be in [0, 1), got {beta}")
+        if not self.adam_eps > 0:
+            raise ConfigurationError(
+                f"adam_eps must be > 0, got {self.adam_eps}")
+        if not np.isfinite(self.sigma_aug) or self.sigma_aug < 0:
+            raise ConfigurationError(
+                f"sigma_aug must be finite and >= 0, got {self.sigma_aug}")
 
 
 @dataclass

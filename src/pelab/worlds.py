@@ -263,7 +263,6 @@ def make_rotation_world(r_min: float = 0.5, r_max: float = 1.5,
         a1_invariant=True,
         n_classes=2,
     )
-    world.label_threshold = threshold
 
     if radii is not None:
         def t_atoms():

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from pelab.numerics import Rng, make_encoder
+from pelab.numerics import Encoder, Rng, make_encoder
 from pelab.worlds import (make_bernoulli_uv_world, make_rotation_world,
                           make_six_nine_world)
 
@@ -40,3 +41,15 @@ def random_encoder(rng, arch=None, d_z=None, d_hidden=None):
 
 def assert_close(a, b, tol=1e-9, msg=""):
     assert abs(a - b) <= tol, f"{msg}: {a} vs {b} (tol {tol})"
+
+
+def identity_encoder(d):
+    """The linear encoder z = x on d dimensions."""
+    return Encoder("linear", np.eye(d), np.zeros(d))
+
+
+def relative_l2_error(approx, exact):
+    """|a - b| / max(|a|, |b|, 1e-12) in the L2 sense."""
+    denom = max(float(np.linalg.norm(approx)), float(np.linalg.norm(exact)),
+                1e-12)
+    return float(np.linalg.norm(approx - exact)) / denom

@@ -10,13 +10,14 @@ from pelab.cli import main as cli_main
 from pelab.metrics import (invariance_curve, leakage_probe, normalized_mi,
                            sufficiency_surrogate, uniform_grid,
                            geometry_diagnostics)
-from pelab.numerics import (Encoder, Rng, finite_diff, identity_encoder,
-                            make_encoder, relative_l2_error)
+from pelab.numerics import Encoder, Rng, finite_diff, make_encoder
 from pelab.objectives import ObjectiveSpec, perc_loss
 from pelab.theory import bayes_risk, run_scenario
 from pelab.trainer import TrainConfig, train_head, train_perception
 from pelab.worlds import (make_bernoulli_uv_world, make_rotation_world,
                           sample_batch)
+
+from conftest import identity_encoder, relative_l2_error
 
 
 def _report(num, ok, detail=""):

@@ -423,6 +423,39 @@ def test_binning_key_below_its_bound_exits_2(tmp_path, capsys, line, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("train.sigma_aug = -0.5", "sigma_aug must be finite and >= 0, got -0.5"),
+    ("train.sigma_aug = inf", "sigma_aug must be finite and >= 0, got inf"),
+    ("train.adam_beta1 = 1.0", "adam_beta1 must be in [0, 1), got 1.0"),
+    ("train.adam_beta1 = -0.1", "adam_beta1 must be in [0, 1), got -0.1"),
+    ("train.adam_beta2 = 1.0", "adam_beta2 must be in [0, 1), got 1.0"),
+    ("train.adam_eps = 0.0", "adam_eps must be > 0, got 0.0"),
+], ids=["sigma_aug_negative", "sigma_aug_infinite", "beta1_one",
+        "beta1_negative", "beta2_one", "eps_zero"])
+def test_train_setting_out_of_range_exits_2(tmp_path, capsys, line, message):
+    # the rotation world draws its views with sigma_aug, and one Adam step
+    # with a beta of 1 leaves a NaN encoder that certification cannot use
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"seed = 3\ntrain.steps = 1\n{line}\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+    assert not out.exists()
+
+
+def test_certify_duplicate_column_exits_2(tmp_path, capsys):
+    csv = tmp_path / "dup.csv"
+    csv.write_text("z_0,z_0,v\n1.0,2.0,0.0\n3.0,4.0,1.0\n")
+    out = tmp_path / "out"
+    assert run_cli("certify", str(csv), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "duplicate column 'z_0'" in err
+    assert not out.exists()
+
+
 def test_certify_requires_code_columns(tmp_path):
     csv = tmp_path / "bad.csv"
     csv.write_text("a,b\n1.0,2.0\n")

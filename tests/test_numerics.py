@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from pelab.errors import ContractViolation
-from pelab.numerics import (Encoder, Rng, finite_diff, identity_encoder,
-                            load_params, make_encoder, param_gradient,
-                            relative_l2_error, save_params)
+from pelab.numerics import (Encoder, Rng, exp_rows, finite_diff,
+                            make_encoder, param_gradient)
 from pelab.objectives import (covariance_penalty_value_grad,
                               infonce_value_grad, invariance_value_grad)
+
+from conftest import identity_encoder, relative_l2_error
 
 
 def test_forward_identity_map():
@@ -175,21 +176,38 @@ def test_finite_diff_rejects_nonpositive_step():
         finite_diff(lambda p: 0.0, np.zeros(2), 0.0)
 
 
+@pytest.mark.parametrize("bound, shifted", [
+    (0.0, False), (3.0, False), (350.0, False),
+    (float(np.nextafter(350.0, np.inf)), True), (1e3, True), (np.inf, True)])
+def test_exp_rows_shifts_exactly_beyond_spread_limit(bound, shifted):
+    logits = np.array([[0.0, 1.0, -2.0], [3.0, -1.0, 0.5]])
+    e = logits.copy()
+    c, rows = exp_rows(e, bound)
+    if shifted:
+        assert np.array_equal(c, logits.max(axis=1))
+        expected = np.exp(logits - logits.max(axis=1)[:, None])
+    else:
+        assert np.ndim(c) == 0 and c == 0.0
+        expected = np.exp(logits)
+    assert np.array_equal(e, expected)
+    assert np.array_equal(rows, expected.sum(axis=1))
+
+
+def test_exp_rows_keeps_a_far_negative_row_finite():
+    # unshifted, exp(-1 000) underflows to 0 and the log row sum to -inf
+    e = np.array([[-1000.0, -1001.0, -1000.0], [0.0, 1.0, 2.0]])
+    c, rows = exp_rows(e, 1001.0)
+    log_sum_exp = c + np.log(rows)
+    assert np.all(np.isfinite(e)) and np.all(np.isfinite(log_sum_exp))
+    assert abs(log_sum_exp[0] - (-1000.0 + np.log(2.0 + np.exp(-1.0)))) <= 1e-12
+
+
 def test_flat_params_round_trip_bitwise():
     enc = make_encoder("mlp1", 2, 4, 5, Rng(21))
     flat = enc.get_flat_params()
     enc2 = make_encoder("mlp1", 2, 4, 5)
     enc2.set_flat_params(flat)
     assert enc2.get_flat_params().tobytes() == flat.tobytes()
-
-
-def test_param_serialization_round_trip(tmp_path):
-    enc = make_encoder("mlp1", 2, 3, 7, Rng(31))
-    path = tmp_path / "params.txt"
-    save_params(enc, path)
-    loaded = load_params(path)
-    assert loaded.arch == enc.arch
-    assert loaded.get_flat_params().tobytes() == enc.get_flat_params().tobytes()
 
 
 def test_rng_reproducible_and_split_independent():

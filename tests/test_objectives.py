@@ -10,20 +10,33 @@ import pelab
 from pelab import objectives
 from pelab.config import load_config
 from pelab.errors import ConfigurationError, ContractViolation
-from pelab.numerics import (Encoder, Rng, finite_diff, identity_encoder,
-                            make_encoder, relative_l2_error)
-from pelab.objectives import (ObjectiveSpec, _softmax_ce_rows,
-                              covariance_penalty,
-                              equivariance_loss, infonce_loss,
-                              infonce_value_grad, invariance_loss,
-                              perc_loss, variance_floor)
-from pelab.worlds import Batch, make_rotation_world, sample_batch
+from pelab.numerics import Encoder, Rng, finite_diff, make_encoder
+from pelab.objectives import (ObjectiveSpec, covariance_penalty_value_grad,
+                              equivariance_value_grad, infonce_value_grad,
+                              invariance_value_grad, perc_loss,
+                              variance_floor_value_grad)
+from pelab.worlds import Batch, make_rotation_world, rho_batch, sample_batch
+
+from conftest import identity_encoder, relative_l2_error
 
 
 def _pair_batch(x, x_plus, deltas=None):
     n = x.shape[0]
     return Batch(x=x, x_plus=x_plus,
                  deltas=np.zeros(n) if deltas is None else deltas)
+
+
+def _invariance(enc, batch):
+    value, _, _ = invariance_value_grad(enc.forward(batch.x),
+                                        enc.forward(batch.x_plus))
+    return value
+
+
+def _equivariance(enc, batch, rho):
+    z = enc.forward(batch.x)
+    mats = rho_batch(rho, batch.deltas, z.shape[1])
+    value, _, _ = equivariance_value_grad(z, enc.forward(batch.x_plus), mats)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -33,14 +46,14 @@ def _pair_batch(x, x_plus, deltas=None):
 def test_invariance_zero_for_identity_views(rng):
     enc = make_encoder("mlp1", 2, 3, 5, rng)
     x = rng.normal(size=(16, 2))
-    assert invariance_loss(enc, _pair_batch(x, x.copy())) == 0.0
+    assert _invariance(enc, _pair_batch(x, x.copy())) == 0.0
 
 
 def test_invariance_zero_for_constant_encoder(rng):
     enc = Encoder("linear", np.zeros((2, 2)), np.array([3.0, -1.0]))
     x = rng.normal(size=(16, 2))
     xp = rng.normal(size=(16, 2))
-    assert invariance_loss(enc, _pair_batch(x, xp)) == 0.0
+    assert _invariance(enc, _pair_batch(x, xp)) == 0.0
 
 
 def test_invariance_half_turn_closed_form():
@@ -48,7 +61,7 @@ def test_invariance_half_turn_closed_form():
     enc = identity_encoder(2)
     x = np.array([[1.0, 0.0]])
     xp = np.array([[-1.0, 0.0]])
-    assert invariance_loss(enc, _pair_batch(x, xp)) == 4.0
+    assert _invariance(enc, _pair_batch(x, xp)) == 4.0
 
 
 def test_invariance_zero_iff_views_coincide(rng):
@@ -56,7 +69,7 @@ def test_invariance_zero_iff_views_coincide(rng):
     x = rng.normal(size=(8, 2))
     xp = x.copy()
     xp[3, 1] += 1e-3
-    assert invariance_loss(enc, _pair_batch(x, xp)) > 0.0
+    assert _invariance(enc, _pair_batch(x, xp)) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +80,7 @@ def test_equivariance_exact_for_identity_encoder_on_rotations(rng):
     world = make_rotation_world()
     enc = identity_encoder(2)
     batch = sample_batch(world, 64, rng)
-    assert equivariance_loss(enc, batch, world.transforms) <= 1e-28
+    assert _equivariance(enc, batch, world.transforms) <= 1e-28
 
 
 def test_equivariance_with_identity_rho_equals_invariance(rng):
@@ -81,8 +94,8 @@ def test_equivariance_with_identity_rho_equals_invariance(rng):
     x = rng.normal(size=(32, 2))
     xp = rng.normal(size=(32, 2))
     batch = _pair_batch(x, xp)
-    assert equivariance_loss(enc, batch, IdentityRho()) == \
-        invariance_loss(enc, batch)
+    assert _equivariance(enc, batch, IdentityRho()) == \
+        _invariance(enc, batch)
 
 
 def test_equivariance_constant_encoder_negation_rho():
@@ -95,7 +108,7 @@ def test_equivariance_constant_encoder_negation_rho():
 
     x = np.zeros((5, 2))
     batch = _pair_batch(x, x.copy(), deltas=np.full(5, np.pi))
-    assert equivariance_loss(enc, batch, NegRho()) == 4.0
+    assert _equivariance(enc, batch, NegRho()) == 4.0
 
 
 def test_equivariance_requires_rho(rng):
@@ -107,7 +120,7 @@ def test_equivariance_requires_rho(rng):
         rho = None
 
     with pytest.raises(ContractViolation):
-        equivariance_loss(enc, batch, NoRho())
+        _equivariance(enc, batch, NoRho())
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +148,19 @@ def test_infonce_perturbing_any_logit_changes_loss():
             zp[j, i] = 1e-3
             value, _, _ = infonce_value_grad(z, zp, tau=1.0)
             assert value != base, (i, j)
+
+
+def _softmax_ce_rows(logits):
+    """Per-row softmax cross entropy with the diagonal as targets, with a
+    dense gradient.  Returns (mean loss, gradient w.r.t. logits)."""
+    n = logits.shape[0]
+    m = logits.max(axis=1, keepdims=True)
+    p = np.exp(logits - m)
+    denom = p.sum(axis=1, keepdims=True)
+    value = float(np.mean(m[:, 0] + np.log(denom[:, 0]) - np.diag(logits)))
+    p /= denom
+    p[np.arange(n), np.arange(n)] -= 1.0
+    return value, p / n
 
 
 def _two_pass_nce(logits):
@@ -196,15 +222,18 @@ def _thin_nce_of_logits(logits, symmetric=True):
 
 
 @pytest.fixture
-def two_pass_calls(monkeypatch):
-    """Counts calls of the per-row two-pass fallback kernel."""
+def shifted_exps(monkeypatch):
+    """Records the shape of each logit matrix that InfoNCE exponentiates
+    with a per-row shift, that is, with 2 bound > 700."""
     calls = []
+    exp_rows = objectives.exp_rows
 
-    def spy(logits):
-        calls.append(logits.shape)
-        return _softmax_ce_rows(logits)
+    def spy(logits, bound):
+        if 2.0 * bound > 700.0:
+            calls.append(logits.shape)
+        return exp_rows(logits, bound)
 
-    monkeypatch.setattr(objectives, "_softmax_ce_rows", spy)
+    monkeypatch.setattr(objectives, "exp_rows", spy)
     return calls
 
 
@@ -219,7 +248,7 @@ _BOUND_CASES = {"dot": [(0.5, 1.0), (0.5, 30.0)],
                          ids=["symmetric", "one_sided"])
 @pytest.mark.parametrize("sim", ["dot", "cosine"])
 def test_infonce_thin_gradient_matches_dense_oracle(sim, symmetric, n, wide,
-                                                    two_pass_calls):
+                                                    shifted_exps):
     tau, scale = _BOUND_CASES[sim][wide]
     rng = Rng(n)
     z = scale * rng.normal(size=(n, 3))
@@ -228,7 +257,7 @@ def test_infonce_thin_gradient_matches_dense_oracle(sim, symmetric, n, wide,
     value, gz, gzp = infonce_value_grad(z, zp, tau, sim, symmetric)
     fallback = 2.0 * _logit_bound(z, zp, tau, sim) > 700.0
     assert fallback == wide
-    assert len(two_pass_calls) == (2 if symmetric else 1) * fallback
+    assert len(shifted_exps) == (2 if symmetric else 1) * fallback
     assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
     for g, ref in ((gz, ref_gz), (gzp, ref_gzp)):
         assert np.max(np.abs(g - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -236,28 +265,28 @@ def test_infonce_thin_gradient_matches_dense_oracle(sim, symmetric, n, wide,
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 300.0])
 @pytest.mark.parametrize("n", [2, 5, 64])
-def test_fused_symmetric_nce_matches_two_pass(scale, n, two_pass_calls):
+def test_fused_symmetric_nce_matches_two_pass(scale, n, shifted_exps):
     # uniform on [-scale, scale]: 2 bound stays below 700, so the thin path
     # is taken even at scale 300
     logits = Rng(n).uniform(-scale, scale, size=(n, n))
     ref_value, ref_grad = _two_pass_nce(logits)
     value, grad = _thin_nce_of_logits(logits)
-    assert two_pass_calls == []
+    assert shifted_exps == []
     assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12
 
 
-def test_symmetric_nce_falls_back_beyond_shared_shift_range(two_pass_calls):
+def test_symmetric_nce_falls_back_beyond_shared_shift_range(shifted_exps):
     # unshifted, every entry of row 1 would underflow to 0
     logits = np.array([[0.0, -800.0, -800.0],
                        [-1000.0, -900.0, -1000.0],
                        [-800.0, -800.0, -10.0]])
     value, grad = _thin_nce_of_logits(logits)
-    assert len(two_pass_calls) == 2
+    assert len(shifted_exps) == 2
     ref_value, ref_grad = _two_pass_nce(logits)
     assert np.isfinite(value) and np.all(np.isfinite(grad))
-    assert value == ref_value
-    assert np.array_equal(grad, ref_grad)
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
 
 @pytest.mark.parametrize("sim", ["dot", "cosine"])
@@ -276,8 +305,7 @@ def test_infonce_two_point_hand_value():
     # n=2, dot sim, tau=1: positives at 1, cross terms 0
     # per direction: -log(e / (e + 1))
     z = np.array([[1.0, 0.0], [0.0, 1.0]])
-    value = infonce_loss(identity_encoder(2), _pair_batch(z, z.copy()),
-                         tau=1.0, sim="dot")
+    value, _, _ = infonce_value_grad(z, z.copy(), tau=1.0, sim="dot")
     oracle = -np.log(np.e / (np.e + 1.0))
     assert abs(value - oracle) <= 1e-12
     assert abs(oracle - 0.31326) <= 1e-5
@@ -303,12 +331,12 @@ def test_infonce_rejects_singleton_batch():
 
 def test_variance_floor_inactive_when_above_gamma(rng):
     z = rng.normal(size=(200, 3)) * 3.0
-    assert variance_floor(z, gamma=1.0) == 0.0
+    assert variance_floor_value_grad(z, 1.0)[0] == 0.0
 
 
 def test_variance_floor_constant_codes():
     z = np.tile([2.0, -1.0, 0.5, 3.0], (10, 1))
-    assert variance_floor(z, gamma=1.0) == 4.0
+    assert variance_floor_value_grad(z, 1.0)[0] == 4.0
 
 
 def test_variance_floor_hinge_arithmetic():
@@ -317,31 +345,31 @@ def test_variance_floor_hinge_arithmetic():
     col_low = np.sqrt(3.0 / 16.0) * base   # unbiased Var = 0.25
     col_high = 3.0 * base                  # unbiased Var = 12
     z = np.column_stack([col_low, col_high])
-    assert abs(variance_floor(z, gamma=1.0) - 0.75) <= 1e-12
+    assert abs(variance_floor_value_grad(z, 1.0)[0] - 0.75) <= 1e-12
 
 
 def test_variance_floor_requires_two_rows():
     with pytest.raises(ContractViolation):
-        variance_floor(np.ones((1, 2)), gamma=1.0)
+        variance_floor_value_grad(np.ones((1, 2)), 1.0)
 
 
 def test_covariance_penalty_decorrelated_is_zero():
     z = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-    assert covariance_penalty(z) == 0.0
+    assert covariance_penalty_value_grad(z)[0] == 0.0
 
 
 def test_covariance_penalty_counts_both_ordered_pairs():
     # Cov(Z1, Z2) = 0.5 exactly: contributes 0.25 twice
     base = np.array([1.0, 1.0, -1.0, -1.0])
     z = np.column_stack([base, 0.375 * base])
-    assert abs(covariance_penalty(z) - 0.5) <= 1e-12
+    assert abs(covariance_penalty_value_grad(z)[0] - 0.5) <= 1e-12
 
 
 def test_covariance_penalty_duplicate_dimension():
     # Z2 == Z1 with Var = 1: Cov = 1 on both off-diagonals, penalty 2
     base = np.array([1.0, 1.0, -1.0, -1.0]) * np.sqrt(3.0) / 2.0
     z = np.column_stack([base, base])
-    assert abs(covariance_penalty(z) - 2.0) <= 1e-9
+    assert abs(covariance_penalty_value_grad(z)[0] - 2.0) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +392,7 @@ def test_perc_loss_beta_only_equals_invariance(rng):
     world = make_rotation_world()
     batch = sample_batch(world, 16, rng, with_labels=False)
     total, _, _ = perc_loss(enc, batch, ObjectiveSpec(beta_inv=1.0))
-    assert total == invariance_loss(enc, batch)
+    assert total == _invariance(enc, batch)
 
 
 def test_perc_loss_linear_in_weights(rng):
@@ -417,6 +445,27 @@ def test_perc_loss_peak_memory_is_one_logit_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 12e6, peak
+
+
+@pytest.mark.parametrize("symmetric", [True, False],
+                         ids=["symmetric", "one_sided"])
+def test_infonce_beyond_spread_limit_peak_memory_is_one_logit_matrix(
+        symmetric, shifted_exps):
+    # dot logits with 2 bound far above 700 at n = 1 024: each one-sided
+    # pass exponentiates its own 8.4 MB logit matrix and frees it before the
+    # next, so no two n x n float64 buffers are ever alive together
+    n = 1024
+    rng = Rng(8)
+    z = 30.0 * rng.normal(size=(n, 3))
+    zp = z + 3.0 * rng.normal(size=(n, 3))
+    tracemalloc.start()
+    try:
+        infonce_value_grad(z, zp, 0.5, "dot", symmetric)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert shifted_exps == [(n, n)] * (2 if symmetric else 1)
+    assert peak < 2 * n * n * 8, peak
 
 
 def test_objective_spec_validation():

@@ -84,18 +84,19 @@ def exp_log(monkeypatch):
     it exponentiates, whether the rows were shifted and the largest
     |logit| among them."""
     log = []
-    bound, exp_rows = probes._logit_bound, probes._exp_rows
+    logit_bound, exp_rows = probes._logit_bound, probes.exp_rows
 
     def bound_spy(*args):
-        log.append(("bound", bound(*args)))
+        log.append(("bound", logit_bound(*args)))
         return log[-1][1]
 
-    def exp_spy(logits, shift):
-        log.append(("shift", shift, float(np.max(np.abs(logits)))))
-        return exp_rows(logits, shift)
+    def exp_spy(logits, bound):
+        log.append(("shift", 2.0 * bound > 700.0,
+                    float(np.max(np.abs(logits)))))
+        return exp_rows(logits, bound)
 
     monkeypatch.setattr(probes, "_logit_bound", bound_spy)
-    monkeypatch.setattr(probes, "_exp_rows", exp_spy)
+    monkeypatch.setattr(probes, "exp_rows", exp_spy)
     return log
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pelab.errors import ContractViolation
-from pelab.numerics import Encoder, Rng, identity_encoder, make_encoder
+from pelab.numerics import Encoder, Rng, make_encoder
 from pelab.objectives import ObjectiveSpec
 from pelab.probes import LinearHead
 from pelab.theory import (FactorThroughTFamily, assumption_audit, bayes_risk,
@@ -13,6 +13,8 @@ from pelab.theory import (FactorThroughTFamily, assumption_audit, bayes_risk,
                           run_scenario, task_risk, two_stage_check)
 from pelab.trainer import TrainConfig, train_head, train_perception
 from pelab.worlds import make_rotation_world
+
+from conftest import identity_encoder
 
 
 # ---------------------------------------------------------------------------

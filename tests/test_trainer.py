@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from pelab.errors import ConfigurationError, ContractViolation, DivergenceError
-from pelab.numerics import Encoder, Rng, identity_encoder, make_encoder
+from pelab.numerics import Encoder, Rng, make_encoder
 from pelab.objectives import ObjectiveSpec
 from pelab.trainer import TrainConfig, train_head, train_perception
 from pelab.worlds import make_rotation_world
+
+from conftest import identity_encoder
 
 
 def _spec(**kw):
