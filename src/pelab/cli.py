@@ -20,8 +20,8 @@ from . import infotheory as it
 from . import theory
 from .config import ExperimentConfig, load_config, parse_config_text, schema_help
 from .errors import ConfigurationError, ContractViolation, PelabError
-from .metrics import (MetricInputs, MetricReport, MetricSuiteOptions, certify,
-                      certify_encoder, invariance_curve, uniform_grid)
+from .metrics import (MetricInputs, MetricReport, certify, certify_encoder,
+                      invariance_curve, uniform_grid)
 from .numerics import Rng, make_encoder
 from .svg import render_curve_svg
 from .trainer import train_perception
@@ -105,31 +105,24 @@ def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     enc = make_encoder(cfg["encoder.arch"], world.d_x, cfg["encoder.d_z"],
                        cfg["encoder.d_hidden"], init_rng,
                        cfg["encoder.init_scale"])
-    opts = MetricSuiteOptions(
-        n=cfg["metrics.n"], curve_points=cfg["metrics.curve_points"],
-        curve_alpha_max=cfg["metrics.curve_alpha_max"],
-        gamma=cfg["objective.gamma"], mi_bins=cfg["metrics.mi_bins"],
-        probe_budgets=cfg["metrics.probe_budgets"],
-        probe_pool_n=cfg["metrics.probe_pool"],
-        run_probe_efficiency=cfg["metrics.probe_efficiency"])
+    opts = cfg.metrics
 
     auc_before = None
     trained = cfg["train.steps"] >= 1
     if trained:
-        if getattr(world.transforms, "magnitude_parameterized", False):
+        if world.transforms.magnitude_parameterized:
             curve0 = invariance_curve(
                 enc, world, uniform_grid(opts.curve_alpha_max, opts.curve_points),
                 opts.n, aux_rng)
             auc_before = curve0.auc
-        tcfg = cfg.build_train_config()
         snapshot_fn = None
-        if tcfg.eval_every > 0:
+        if cfg.train.eval_every > 0:
             def snapshot_fn(step, snap_enc):
                 snap = _light_snapshot(snap_enc, world, opts, chash, seed, step)
                 rel = f"snapshots/step_{step}.json"
                 _write(out / rel, snap.to_json(), quiet=True)
                 return rel
-        enc_final, log = train_perception(world, enc, tcfg,
+        enc_final, log = train_perception(world, enc, cfg.train,
                                           snapshot_fn=snapshot_fn)
         out.mkdir(parents=True, exist_ok=True)
         log.write_csv(out / "trainlog.csv", chash, seed)
@@ -252,8 +245,7 @@ def cmd_certify(embeddings_path: Path, cfg: ExperimentConfig, out: Path,
     probe_rng, _ = Rng(cfg["seed"]).split(2)
     report = certify(
         MetricInputs(z=data["z"], x=data["x"], t=data["t"], v=v, y=data["y"]),
-        MetricSuiteOptions(gamma=cfg["objective.gamma"],
-                           mi_bins=cfg["metrics.mi_bins"]),
+        cfg.metrics,
         {"leakage_probe_auc": probe_rng, "label_probe_accuracy": probe_rng},
         config_hash=cfg.config_hash(), seed=cfg["seed"])
     report.notes += notes

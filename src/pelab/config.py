@@ -7,10 +7,13 @@ the fully resolved configuration and stamps its hash into all outputs.
 from __future__ import annotations
 
 import hashlib
+import operator
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import ConfigurationError
+from .metrics import MetricSuiteOptions
 from .objectives import ObjectiveSpec
 from .trainer import TrainConfig
 from .worlds import make_bernoulli_uv_world, make_rotation_world, make_six_nine_world
@@ -102,40 +105,71 @@ SCHEMA = {
 }
 
 
-# lower bounds of the keys whose smaller values no command can run with;
-# a binning key needs two cells to tell any two codes apart
-_MINIMUM = {"seed": 0, "encoder.d_z": 1, "metrics.curve_points": 1,
-            "metrics.mi_bins": 2, "theory.resolution": 2}
-# keys that must be strictly positive
-_POSITIVE = ("metrics.curve_alpha_max",)
-
-
-def _checked(key: str, value, where: str):
-    """``value`` if ``key`` accepts it; ``where`` names the line or flag."""
-    if key in _MINIMUM and value < _MINIMUM[key]:
-        raise ConfigurationError(
-            f"{where}: {key} must be >= {_MINIMUM[key]}, got {value}")
-    if key in _POSITIVE and not value > 0:
-        raise ConfigurationError(f"{where}: {key} must be > 0, got {value}")
-    return value
+# rules for the keys that no built object checks: (key, relation, bound); a
+# bound naming a key stands for its value, and lists are checked item by item.
+# A binning key needs two cells to tell any two codes apart.
+_RULES = (
+    ("seed", ">=", 0),
+    ("world.r_min", ">=", 0),
+    ("world.r_min", "<=", "world.r_max"),
+    ("world.sigma", ">", 0),
+    ("encoder.d_z", ">=", 1),
+    ("encoder.init_scale", ">=", 0),
+    ("metrics.curve_points", ">=", 1),
+    ("metrics.curve_alpha_max", ">", 0),
+    ("metrics.mi_bins", ">=", 2),
+    ("metrics.probe_budgets", ">=", 2),
+    ("metrics.probe_pool", ">=", "metrics.probe_budgets"),
+    ("theory.n", ">=", 2),
+    ("theory.resolution", ">=", 2),
+)
+_RELATIONS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
 
 
 class ExperimentConfig:
-    """Typed view over a parsed key=value file with schema defaults."""
+    """Typed view over a parsed key=value file with schema defaults; ``where``
+    maps each key set in it to its ``<file>:<line>`` or flag.  Construction
+    checks every rule and builds the objective, train and metrics sections."""
 
-    def __init__(self, values: dict):
-        self.values = values
+    def __init__(self, values: dict, where: dict, source: str):
+        self.values, self.where, self.source = values, where, source
+        for key, relation, bound in _RULES:
+            named = isinstance(bound, str)
+            limit = self[bound] if named else bound
+            if not all(_RELATIONS[relation](v, b) for v in np.atleast_1d(self[key])
+                       for b in np.atleast_1d(limit)):
+                at = where.get(key) or where.get(bound, source)
+                shown = f"{bound} = {limit}" if named else bound
+                raise ConfigurationError(f"{at}: {key} must be {relation} {shown}, "
+                                         f"got {self[key]}")
+        self.objective = self.section("objective", ObjectiveSpec)
+        self.train = self.section(
+            "train", TrainConfig, steps=max(1, self["train.steps"]),
+            seed=self["seed"], objective=self.objective)
+        self.metrics = self.section("metrics", MetricSuiteOptions,
+                                    gamma=self["objective.gamma"])
 
     def __getitem__(self, key: str):
         if key in self.values:
             return self.values[key]
         return SCHEMA[key][1]
 
+    def section(self, prefix: str, cls, **extra):
+        """``cls`` built from the ``prefix.*`` keys named like its fields, and
+        ``extra``; an error, which opens with its field, gets that key's line."""
+        kwargs = {f.name: self[f"{prefix}.{f.name}"] for f in fields(cls)
+                  if f"{prefix}.{f.name}" in SCHEMA}
+        try:
+            return cls(**{**kwargs, **extra})
+        except ConfigurationError as exc:
+            key = f"{prefix}.{str(exc).split(' ', 1)[0]}"
+            raise ConfigurationError(
+                f"{self.where.get(key, self.source)}: {prefix}.{exc}") from None
+
     def with_override(self, key: str, value,
                       where: str = "override") -> "ExperimentConfig":
-        out = dict(self.values)
-        out[key] = _checked(key, value, where)
-        return ExperimentConfig(out)
+        return ExperimentConfig({**self.values, key: value},
+                                {**self.where, key: where}, self.source)
 
     def canonical_text(self) -> str:
         lines = []
@@ -169,35 +203,9 @@ class ExperimentConfig:
                 sigma=self["world.sigma"])
         raise ConfigurationError(f"unknown world kind {kind!r}")
 
-    def build_objective(self) -> ObjectiveSpec:
-        return ObjectiveSpec(
-            beta_inv=self["objective.beta_inv"],
-            use_nce=self["objective.use_nce"],
-            tau=self["objective.tau"],
-            gamma=self["objective.gamma"],
-            w_var=self["objective.w_var"],
-            w_cov=self["objective.w_cov"],
-            w_eq=self["objective.w_eq"],
-            sim=self["objective.sim"],
-            symmetric_nce=self["objective.symmetric_nce"])
-
-    def build_train_config(self) -> TrainConfig:
-        return TrainConfig(
-            steps=max(1, self["train.steps"]),
-            batch_size=self["train.batch_size"],
-            lr=self["train.lr"],
-            optimizer=self["train.optimizer"],
-            adam_beta1=self["train.adam_beta1"],
-            adam_beta2=self["train.adam_beta2"],
-            adam_eps=self["train.adam_eps"],
-            seed=self["seed"],
-            objective=self.build_objective(),
-            eval_every=self["train.eval_every"],
-            sigma_aug=self["train.sigma_aug"])
-
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
-    values = {}
+    values, where = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -215,8 +223,9 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigurationError(
                 f"{source}:{lineno}: bad {typ} value for {key}: {exc}") from None
-        values[key] = _checked(key, parsed, f"{source}:{lineno}")
-    return ExperimentConfig(values)
+        values[key] = parsed
+        where[key] = f"{source}:{lineno}"
+    return ExperimentConfig(values, where, source)
 
 
 def load_config(path) -> ExperimentConfig:

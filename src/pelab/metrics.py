@@ -151,7 +151,7 @@ def fisher_trace(enc: Encoder, world: World, n: int, rng: Rng,
     """Expected squared sensitivity of the code to the transform parameter at
     the identity: trace of E[J_delta J_delta^T] via central differences."""
     fam = world.transforms
-    if not getattr(fam, "smooth", False):
+    if not fam.smooth:
         raise NotApplicableError(
             f"transform family {fam.kind!r} is not smooth in delta")
     x = world.sample_x(rng, n)
@@ -397,8 +397,8 @@ class MetricSuiteOptions:
     gamma: float = 1.0
     mi_bins: int = 8
     probe_budgets: tuple = (64, 256, 1024)
-    probe_pool_n: int = 4096
-    run_probe_efficiency: bool = True
+    probe_pool: int = 4096
+    probe_efficiency: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +500,10 @@ def _separability_body(inp, opts, rng, report):
 
 
 def _probe_efficiency_body(inp, opts, rng, report):
-    if not opts.run_probe_efficiency:
+    if not opts.probe_efficiency:
         raise NotApplicableError("probe efficiency disabled")
     res = probe_data_efficiency(inp.encoder, inp.world, opts.probe_budgets,
-                                rng, pool_n=opts.probe_pool_n)
+                                rng, pool_n=opts.probe_pool)
     report.add("probe_data_efficiency",
                value=res["accuracy_per_budget"][str(max(opts.probe_budgets))],
                accuracy_per_budget=res["accuracy_per_budget"], secondary=True)

@@ -48,13 +48,14 @@ class ObjectiveSpec:
     symmetric_nce: bool = True
 
     def __post_init__(self):
-        weights = (self.beta_inv, self.gamma, self.w_var, self.w_cov, self.w_eq)
-        if any(not np.isfinite(w) or w < 0 for w in weights):
-            raise ConfigurationError("objective weights must be finite and >= 0")
+        for name in ("beta_inv", "gamma", "w_var", "w_cov", "w_eq"):
+            w = getattr(self, name)
+            if not np.isfinite(w) or w < 0:
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {w}")
         if not self.tau > 0:
-            raise ConfigurationError("temperature tau must be > 0")
+            raise ConfigurationError(f"tau must be > 0, got {self.tau}")
         if self.sim not in (SIM_DOT, SIM_COSINE):
-            raise ConfigurationError(f"unknown similarity {self.sim!r}")
+            raise ConfigurationError(f"sim must be dot or cosine, got {self.sim!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +204,7 @@ def perc_loss(enc, batch, spec: ObjectiveSpec, rho_source=None):
             components["cov"] = spec.w_cov * v
             gz += spec.w_cov * g
         if spec.w_eq > 0:
-            if rho_source is None or getattr(rho_source, "rho", None) is None:
+            if rho_source is None or rho_source.rho is None:
                 raise ConfigurationError(
                     "w_eq > 0 requires a transform family with rho")
             mats = rho_batch(rho_source, batch.deltas, z.shape[1])

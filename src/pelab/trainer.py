@@ -38,12 +38,21 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.steps < 1:
-            raise ConfigurationError("steps must be >= 1")
+            raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
+        # InfoNCE needs a negative and the variance and covariance terms a
+        # spread, so each needs two pairs per batch
+        spec, least = self.objective, 1
+        if spec.use_nce or spec.w_var > 0 or spec.w_cov > 0:
+            least = 2
+        if self.batch_size < least:
+            raise ConfigurationError(
+                f"batch_size must be >= {least}, got {self.batch_size}")
         # lr == 0 is allowed: it is the no-op determinism check
         if not np.isfinite(self.lr) or self.lr < 0:
-            raise ConfigurationError("learning rate must be finite and >= 0")
+            raise ConfigurationError(f"lr must be finite and >= 0, got {self.lr}")
         if self.optimizer not in ("sgd", "adam"):
-            raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
+            raise ConfigurationError(
+                f"optimizer must be sgd or adam, got {self.optimizer!r}")
         # a beta of 1 leaves Adam's bias correction 1 - beta^t at 0
         for name in ("adam_beta1", "adam_beta2"):
             beta = getattr(self, name)
@@ -56,6 +65,8 @@ class TrainConfig:
         if not np.isfinite(self.sigma_aug) or self.sigma_aug < 0:
             raise ConfigurationError(
                 f"sigma_aug must be finite and >= 0, got {self.sigma_aug}")
+        if self.eval_every < 0:
+            raise ConfigurationError(f"eval_every must be >= 0, got {self.eval_every}")
 
 
 @dataclass
@@ -123,7 +134,7 @@ def train_perception(world: World, enc_init: Encoder, cfg: TrainConfig,
     opt = _make_optimizer(cfg, enc.n_params)
     log = TrainLog()
     sampler = None
-    if getattr(world.transforms, "magnitude_parameterized", False):
+    if world.transforms.magnitude_parameterized:
         sampler = ("gaussian", cfg.sigma_aug)
 
     for step in range(1, cfg.steps + 1):

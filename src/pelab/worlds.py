@@ -64,16 +64,6 @@ class RotationFamily:
         out[:, 1] = s * x[:, 0] + c * x[:, 1]
         return out
 
-    def inverse(self, deltas):
-        return -np.asarray(deltas)
-
-    def compose(self, d1, d2):
-        return np.asarray(d1) + np.asarray(d2)
-
-    def by_magnitude(self, alpha: float):
-        """The transform tau_alpha used by invariance curves."""
-        return float(alpha)
-
     def rho(self, delta: float) -> np.ndarray:
         """Code-space representation: the same rotation acting on a 2-d code."""
         return rotation_matrix(float(delta))
@@ -96,12 +86,6 @@ class FlipVFamily:
         out[:, 1] = (1.0 - d) * x[:, 1] + d * (1.0 - x[:, 1])
         return out
 
-    def inverse(self, deltas):
-        return np.asarray(deltas)  # tau is an involution
-
-    def compose(self, d1, d2):
-        return np.mod(np.asarray(d1) + np.asarray(d2), 2.0)
-
 
 class NegationFamily:
     """G = {id, 180-degree rotation}; delta in {0, 1} uniform, T_1 x = -x."""
@@ -117,19 +101,13 @@ class NegationFamily:
         d = np.atleast_1d(np.asarray(deltas, dtype=np.float64))
         return x * (1.0 - 2.0 * d)[:, None]
 
-    def inverse(self, deltas):
-        return np.asarray(deltas)
-
-    def compose(self, d1, d2):
-        return np.mod(np.asarray(d1) + np.asarray(d2), 2.0)
-
     def rho(self, delta: float) -> np.ndarray:
         return -np.eye(2) if delta >= 0.5 else np.eye(2)
 
 
 def rho_batch(family, deltas, d_z: int) -> np.ndarray:
     """Stack rho(delta_i) matrices, validating the declared code dimension."""
-    if getattr(family, "rho", None) is None:
+    if family.rho is None:
         raise ContractViolation(f"family {family.kind} declares no rho")
     mats = np.stack([family.rho(d) for d in np.atleast_1d(deltas)])
     if mats.shape[1] != d_z or mats.shape[2] != d_z:
@@ -427,8 +405,7 @@ def export_batch_csv(batch: Batch, path) -> None:
 
 def magnitude_transform(world: World, alpha: float):
     """tau_alpha for invariance curves; errors on non-parameterizable groups."""
-    fam = world.transforms
-    if not getattr(fam, "magnitude_parameterized", False):
+    if not world.transforms.magnitude_parameterized:
         raise NotApplicableError(
             f"world {world.name!r} has no magnitude-parameterized transforms")
-    return fam.by_magnitude(alpha)
+    return float(alpha)

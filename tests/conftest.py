@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pelab.numerics import Encoder, Rng, make_encoder
+from pelab.numerics import Encoder, Rng
 from pelab.worlds import (make_bernoulli_uv_world, make_rotation_world,
                           make_six_nine_world)
 
@@ -30,17 +30,6 @@ def bernoulli_world():
 @pytest.fixture
 def six_nine_world():
     return make_six_nine_world()
-
-
-def random_encoder(rng, arch=None, d_z=None, d_hidden=None):
-    arch = arch or ("mlp1" if rng.uniform() < 0.5 else "linear")
-    d_z = d_z or int(rng.integers(2, 6))
-    d_hidden = d_hidden or int(rng.integers(3, 9))
-    return make_encoder(arch, 2, d_z, d_hidden, rng)
-
-
-def assert_close(a, b, tol=1e-9, msg=""):
-    assert abs(a - b) <= tol, f"{msg}: {a} vs {b} (tol {tol})"
 
 
 def identity_encoder(d):

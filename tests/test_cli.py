@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pelab.cli import _read_embeddings_csv, main
 from pelab.config import SCHEMA, parse_config_text, schema_help
 from pelab.errors import ConfigurationError, ContractViolation
-from pelab.metrics import MetricInputs, MetricSuiteOptions, certify
+from pelab.metrics import MetricInputs, certify
 from pelab.numerics import Rng, make_encoder
 from pelab.worlds import make_bernoulli_uv_world, sample_batch
 
@@ -141,8 +141,9 @@ def test_run_probe_budget_above_pool_exits_2(tmp_path, capsys):
                    "metrics.probe_budgets = 64,256\nmetrics.probe_pool = 100\n")
     out = tmp_path / "run"
     assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
-    assert "exceeds available pool" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert (f"{cfg}:7: metrics.probe_pool must be >= metrics.probe_budgets "
+            "= (64, 256), got 100") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_training_snapshots_byte_identical(tmp_path):
@@ -289,11 +290,8 @@ def test_certify_csv_matches_registry_on_world_arrays(tmp_path):
     assert run_cli("certify", str(csv), "--out", str(out), "--quiet") == 0
     from_csv = json.loads((out / "report.json").read_text())["metrics"]
 
-    defaults = parse_config_text("")
-    opts = MetricSuiteOptions(gamma=defaults["objective.gamma"],
-                              mi_bins=defaults["metrics.mi_bins"])
     direct = certify(MetricInputs(z=z, x=batch.x, t=batch.t, v=batch.v),
-                     opts, {}, names=("geometry", "normalized_mi",
+                     parse_config_text("").metrics, {}, names=("geometry", "normalized_mi",
                                       "sufficiency_cmi_bits",
                                       "separability")).metrics
     for name in ("var_floor_violation", "cov_offdiag", "per_dim_variance",
@@ -441,7 +439,55 @@ def test_train_setting_out_of_range_exits_2(tmp_path, capsys, line, message):
     assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert message in err
+    assert f"train.cfg:3: train.{message}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["world.r_min = 3.0"], "world.r_min must be <= world.r_max = 1.5, got 3.0"),
+    (["world.r_min = -1.0"], "world.r_min must be >= 0, got -1.0"),
+    (["world.r_min = nan"], "world.r_min must be >= 0, got nan"),
+    (["world.r_max = 0.25"],
+     "world.r_min must be <= world.r_max = 0.25, got 0.5"),
+    (["encoder.init_scale = -1"],
+     "encoder.init_scale must be >= 0, got -1.0"),
+    (["world.kind = six_nine", "world.sigma = 0"],
+     "world.sigma must be > 0, got 0.0"),
+    (["world.kind = six_nine", "world.sigma = -1"],
+     "world.sigma must be > 0, got -1.0"),
+    (["train.eval_every = -3"], "train.eval_every must be >= 0, got -3"),
+    (["metrics.probe_pool = 10"],
+     "metrics.probe_pool must be >= metrics.probe_budgets = "
+     "(64, 256, 1024), got 10"),
+    (["metrics.probe_budgets = 1"],
+     "metrics.probe_budgets must be >= 2, got (1,)"),
+    (["theory.two_stage = true", "theory.n = 1"],
+     "theory.n must be >= 2, got 1"),
+    (["train.batch_size = 0"], "train.batch_size must be >= 1, got 0"),
+    (["objective.use_nce = true", "train.batch_size = 1"],
+     "train.batch_size must be >= 2, got 1"),
+    (["objective.tau = 0"], "objective.tau must be > 0, got 0.0"),
+    (["objective.w_var = -1"],
+     "objective.w_var must be finite and >= 0, got -1.0"),
+    (["objective.sim = euclid"],
+     "objective.sim must be dot or cosine, got 'euclid'"),
+], ids=["r_min_above_r_max", "r_min_negative", "r_min_nan",
+        "r_max_below_r_min", "init_scale_negative", "sigma_zero",
+        "sigma_negative", "eval_every_negative", "pool_below_budgets",
+        "budget_one", "theory_n_one", "batch_size_zero", "batch_size_one_nce",
+        "tau_zero", "w_var_negative", "sim_unknown"])
+def test_setting_rejected_before_any_work(tmp_path, capsys, lines, message):
+    # each config would train for 50 steps and snapshot every 10; a
+    # rejected one exits 2 naming the line of its last key, and leaves no
+    # trace of training or certification behind
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = 3\ntrain.steps = 50\ntrain.eval_every = 10\n"
+                   + "".join(f"{line}\n" for line in lines))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"bad.cfg:{3 + len(lines)}: {message}" in err, err
     assert not out.exists()
 
 

@@ -566,7 +566,7 @@ def test_axis_metrics_stable_under_diagonal_affine():
 def test_report_round_trip(rotation_world):
     enc = make_encoder("mlp1", 2, 3, 8, Rng(39))
     opts = MetricSuiteOptions(n=512, curve_points=9, probe_budgets=(32, 64),
-                              probe_pool_n=256)
+                              probe_pool=256)
     report = certify_encoder(enc, rotation_world, opts, Rng(40),
                              config_hash="abc123", seed=40)
     assert report.metrics["invariance_auc"].status == "ok"
@@ -575,7 +575,7 @@ def test_report_round_trip(rotation_world):
 
 def test_report_suite_marks_inapplicable_metrics(bernoulli_world):
     enc = identity_encoder(2)
-    opts = MetricSuiteOptions(n=512, probe_budgets=(64,), probe_pool_n=256)
+    opts = MetricSuiteOptions(n=512, probe_budgets=(64,), probe_pool=256)
     report = certify_encoder(enc, bernoulli_world, opts, Rng(41))
     assert report.metrics["invariance_auc"].status == "not_applicable"
     assert report.metrics["fisher_trace"].status == "not_applicable"

@@ -437,7 +437,7 @@ def test_perc_loss_peak_memory_is_one_logit_matrix():
     rng = Rng(0)
     enc = make_encoder("mlp1", 2, 4, 32, rng, init_scale=4.0)
     batch = sample_batch(make_rotation_world(), 1024, rng, with_labels=False)
-    spec = cfg.build_objective()
+    spec = cfg.objective
     tracemalloc.start()
     try:
         perc_loss(enc, batch, spec)
@@ -469,11 +469,12 @@ def test_infonce_beyond_spread_limit_peak_memory_is_one_logit_matrix(
 
 
 def test_objective_spec_validation():
-    with pytest.raises(ConfigurationError):
+    # each message opens with its field, which the config maps to its key
+    with pytest.raises(ConfigurationError, match="^tau "):
         ObjectiveSpec(tau=0.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="^w_var "):
         ObjectiveSpec(w_var=-1.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="^sim "):
         ObjectiveSpec(sim="what")
 
 

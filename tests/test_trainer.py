@@ -18,11 +18,12 @@ def _spec(**kw):
 
 
 def test_train_config_validation():
-    with pytest.raises(ConfigurationError):
+    # each message opens with its field, which the config maps to its key
+    with pytest.raises(ConfigurationError, match="^steps "):
         TrainConfig(steps=0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="^lr "):
         TrainConfig(lr=-0.1)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="^optimizer "):
         TrainConfig(optimizer="lbfgs")
 
 
