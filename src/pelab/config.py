@@ -14,9 +14,12 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .metrics import MetricSuiteOptions
+from .numerics import ARCH_LINEAR, ARCH_MLP1
 from .objectives import ObjectiveSpec
+from .theory import SCENARIOS
 from .trainer import TrainConfig
-from .worlds import make_bernoulli_uv_world, make_rotation_world, make_six_nine_world
+from .worlds import (WORLD_BUILDERS, make_bernoulli_uv_world, make_rotation_world,
+                     make_six_nine_world)
 
 
 def _parse_bool(text: str) -> bool:
@@ -107,12 +110,21 @@ SCHEMA = {
 
 # rules for the keys that no built object checks: (key, relation, bound); a
 # bound naming a key stands for its value, and lists are checked item by item.
-# A binning key needs two cells to tell any two codes apart.
+# A binning key needs two cells to tell any two codes apart.  A name must be
+# one the program knows, so a typo fails with its line before any work.
 _RULES = (
     ("seed", ">=", 0),
+    ("world.kind", "one of", tuple(WORLD_BUILDERS)),
     ("world.r_min", ">=", 0),
     ("world.r_min", "<=", "world.r_max"),
     ("world.sigma", ">", 0),
+    ("world.r_min", "finite", None),
+    ("world.r_max", "finite", None),
+    ("world.radius_values", "finite", None),
+    ("world.center_x", "finite", None),
+    ("world.center_y", "finite", None),
+    ("world.sigma", "finite", None),
+    ("encoder.arch", "one of", (ARCH_LINEAR, ARCH_MLP1)),
     ("encoder.d_z", ">=", 1),
     ("encoder.init_scale", ">=", 0),
     ("metrics.curve_points", ">=", 1),
@@ -120,10 +132,13 @@ _RULES = (
     ("metrics.mi_bins", ">=", 2),
     ("metrics.probe_budgets", ">=", 2),
     ("metrics.probe_pool", ">=", "metrics.probe_budgets"),
+    ("theory.scenario", "one of", ("",) + SCENARIOS),
     ("theory.n", ">=", 2),
     ("theory.resolution", ">=", 2),
 )
-_RELATIONS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+_RELATIONS = {">=": operator.ge, ">": operator.gt, "<=": operator.le,
+              "finite": lambda v, _: bool(np.isfinite(v)),
+              "one of": lambda v, names: v in names}
 
 
 class ExperimentConfig:
@@ -137,11 +152,12 @@ class ExperimentConfig:
             named = isinstance(bound, str)
             limit = self[bound] if named else bound
             if not all(_RELATIONS[relation](v, b) for v in np.atleast_1d(self[key])
-                       for b in np.atleast_1d(limit)):
+                       for b in (np.atleast_1d(limit) if named else (limit,))):
                 at = where.get(key) or where.get(bound, source)
                 shown = f"{bound} = {limit}" if named else bound
-                raise ConfigurationError(f"{at}: {key} must be {relation} {shown}, "
-                                         f"got {self[key]}")
+                rule = relation if bound is None else f"{relation} {shown}"
+                raise ConfigurationError(f"{at}: {key} must be {rule}, "
+                                         f"got {self[key]!r}")
         self.objective = self.section("objective", ObjectiveSpec)
         self.train = self.section(
             "train", TrainConfig, steps=max(1, self["train.steps"]),
@@ -197,11 +213,10 @@ class ExperimentConfig:
                 radius_values=radii if radii else None)
         if kind == "bernoulli_uv":
             return make_bernoulli_uv_world()
-        if kind == "six_nine":
-            return make_six_nine_world(
-                center=(self["world.center_x"], self["world.center_y"]),
-                sigma=self["world.sigma"])
-        raise ConfigurationError(f"unknown world kind {kind!r}")
+        # the rules admit only the kinds in WORLD_BUILDERS: six_nine is left
+        return make_six_nine_world(
+            center=(self["world.center_x"], self["world.center_y"]),
+            sigma=self["world.sigma"])
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:

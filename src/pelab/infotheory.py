@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
-from .numerics import as_samples
+from .numerics import as_samples, matmul
 
 
 def codes_of(values) -> np.ndarray:
@@ -66,7 +66,7 @@ def discretize_codes(z: np.ndarray, n_bins: int = 8, max_dims: int = 2) -> np.nd
     bias controlled."""
     z = as_samples(z)
     if z.shape[1] > max_dims:
-        z = z @ pca_directions(z, max_dims)
+        z = matmul(z, pca_directions(z, max_dims))
     per_dim = [quantile_codes(z[:, j], n_bins) for j in range(z.shape[1])]
     return joint_codes(*per_dim)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import infotheory as it
 from .errors import ContractViolation, DegenerateError, NotApplicableError
-from .numerics import Encoder, Rng, as_samples
+from .numerics import Encoder, Rng, as_samples, matmul
 from .objectives import covariance_penalty_value_grad, variance_floor_value_grad
 from .probes import fit_linear_probe, evaluate_probe, probe_split_evaluate
 from .worlds import World, magnitude_transform, sample_batch
@@ -227,7 +227,7 @@ def _sq_dists(a, b) -> np.ndarray:
     # bandwidth_sq depends on this exact order of operations
     aa = np.sum(a * a, axis=1)[:, None]
     bb = np.sum(b * b, axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+    return np.maximum(aa + bb - 2.0 * matmul(a, b.T), 0.0)
 
 
 _BANDWIDTH_SAMPLE_MAX = 512
@@ -270,7 +270,7 @@ def _kernel_sum(a: np.ndarray, b: np.ndarray, inv_2h2: float,
     for s in range(0, a.shape[0], _KERNEL_BLOCK_ROWS):
         e = min(s + _KERNEL_BLOCK_ROWS, a.shape[0])
         cols = slice(s, None) if same else slice(None)
-        blk = a[s:e] @ b[cols].T
+        blk = matmul(a[s:e], b[cols].T)
         blk *= -2.0
         blk += aa[s:e]
         blk += bb[:, cols]

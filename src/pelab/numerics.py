@@ -8,7 +8,9 @@ tanh network ("mlp1"); both expose forward evaluation, the input Jacobians of
 a batch (one point is the one-row case), and parameter backpropagation for an
 arbitrary upstream code gradient.  ``exp_rows`` is the one row
 exponentiation that InfoNCE and the probes share: unshifted while the logits'
-bound allows it, shifted by each row's maximum beyond.
+bound allows it, shifted by each row's maximum beyond.  ``matmul`` is the
+product that every matrix with one row per sample goes through: it keeps
+each BLAS call small enough to run on the calling thread.
 """
 
 from __future__ import annotations
@@ -41,6 +43,35 @@ def exp_rows(logits: np.ndarray, bound: float):
         logits -= c[:, None]
     np.exp(logits, out=logits)
     return c, logits.sum(axis=1)
+
+
+# OpenBLAS runs a product of at most 2**18 multiply-adds on the calling thread
+# (its GEMM_MULTITHREAD_THRESHOLD of 4 x 65536) and hands a larger one to its
+# thread pool, whose worker then spins after the call: on 2 cores that was
+# 0.25 s of CPU in one certify of the rotation fixture, for no faster result.
+BLAS_ONE_THREAD_MAX = 1 << 18
+
+
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
+    """``a @ b`` for 2-d ``a`` (n, k) and ``b`` (k, m), taken in near-equal
+    row blocks of ``a`` of at most ``BLAS_ONE_THREAD_MAX`` multiply-adds (or
+    one row), so every BLAS call stays on the calling thread; a product that
+    fits one block is a single ``np.matmul``.  The inner dimension is never
+    split, but the BLAS picks its kernel by the size of each call, so a
+    blocked product may differ from one ``np.matmul`` in the last bits.  It
+    does not differ with the BLAS thread count."""
+    n, k = a.shape
+    m = b.shape[1]
+    step = max(1, BLAS_ONE_THREAD_MAX // max(1, k * m))
+    if n <= step:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((n, m), dtype=np.result_type(a, b))
+    blocks = -(-n // step)
+    for i in range(blocks):
+        lo, hi = i * n // blocks, (i + 1) * n // blocks
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+    return out
 
 
 def as_samples(a) -> np.ndarray:
@@ -182,7 +213,7 @@ class Encoder:
 
     # -- evaluation -----------------------------------------------------------
     def _hidden(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x @ self.W1.T + self.b1)
+        return np.tanh(matmul(x, self.W1.T) + self.b1)
 
     def _as_batch(self, xbatch) -> np.ndarray:
         xbatch = np.asarray(xbatch, dtype=np.float64)
@@ -195,11 +226,11 @@ class Encoder:
         """Map a batch (n, d_x) of inputs to codes (n, d_z)."""
         xbatch = self._as_batch(xbatch)
         if self.arch == ARCH_LINEAR:
-            return xbatch @ self.W1.T + self.b1
+            return matmul(xbatch, self.W1.T) + self.b1
         # the hidden layer is freed before the bias add allocates the codes;
         # keeping it alive, as _forward_hidden must, raised the peak RSS of
         # a rotation_pel run by about 0.5 MB (its certification forwards)
-        return self._hidden(xbatch) @ self.W2.T + self.b2
+        return matmul(self._hidden(xbatch), self.W2.T) + self.b2
 
     def _forward_hidden(self, xbatch: np.ndarray):
         """``forward`` plus the hidden activations the codes were read from
@@ -207,7 +238,7 @@ class Encoder:
         if self.arch == ARCH_LINEAR:
             return self.forward(xbatch), None
         h = self._hidden(self._as_batch(xbatch))
-        return h @ self.W2.T + self.b2, h
+        return matmul(h, self.W2.T) + self.b2, h
 
     def input_jacobians(self, xbatch: np.ndarray) -> np.ndarray:
         """Exact dz/dx at every row of a batch (n, d_x), shape (n, d_z, d_x):
@@ -244,7 +275,7 @@ class Encoder:
         h = self._hidden(xbatch) if hidden is None else hidden
         dW2 = grad_z.T @ h
         db2 = grad_z.sum(axis=0)
-        dh = grad_z @ self.W2
+        dh = matmul(grad_z, self.W2)
         da = dh * (1.0 - h * h)
         dW1 = da.T @ xbatch
         db1 = da.sum(axis=0)

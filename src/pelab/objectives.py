@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, DegenerateError
-from .numerics import exp_rows, exp_shifts, param_gradient
+from .numerics import exp_rows, exp_shifts, matmul, param_gradient
 from .worlds import rho_batch
 
 SIM_DOT = "dot"
@@ -98,19 +98,19 @@ def _nce_thin(x, y, bound, symmetric):
         v1, gx1, gy1 = _nce_thin(x, y, bound, False)
         v2, gy2, gx2 = _nce_thin(y, x, bound, False)
         return 0.5 * (v1 + v2), 0.5 * (gx1 + gx2), 0.5 * (gy1 + gy2)
-    e = x @ y.T
+    e = matmul(x, y.T)
     pos = e.diagonal().copy()
     c, rows = exp_rows(e, bound)
     row_loss = float(np.mean(c + np.log(rows) - pos))
     if not symmetric:
         a = (1.0 / n / rows)[:, None]
-        return row_loss, a * (e @ y) - y / n, e.T @ (a * x) - x / n
+        return row_loss, a * matmul(e, y) - y / n, matmul(e.T, a * x) - x / n
     cols = e.sum(axis=0)
     value = 0.5 * (row_loss + float(np.mean(np.log(cols) - pos)))
     a = (0.5 / n / rows)[:, None]
     b = (0.5 / n / cols)[:, None]
-    gx = a * (e @ y) + e @ (b * y) - y / n
-    gy = e.T @ (a * x) + b * (e.T @ x) - x / n
+    gx = a * matmul(e, y) + matmul(e, b * y) - y / n
+    gy = matmul(e.T, a * x) + b * matmul(e.T, x) - x / n
     return value, gx, gy
 
 
@@ -169,7 +169,7 @@ def covariance_penalty_value_grad(z):
     value = float(np.sum(off * off))
     # dPhi/dC is 2*off (symmetric, zero diagonal); columns of the result sum
     # to zero, so the centering chain rule is again a no-op.
-    grad = (2.0 / (n - 1)) * centered @ (2.0 * off)
+    grad = matmul((2.0 / (n - 1)) * centered, 2.0 * off)
     return value, grad
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, DegenerateError
-from .numerics import Rng, as_samples, exp_rows
+from .numerics import Rng, as_samples, exp_rows, matmul
 
 LOG2 = np.log(2.0)
 
@@ -58,7 +58,7 @@ class LinearHead:
 
     def logits(self, z: np.ndarray) -> np.ndarray:
         zs = (np.asarray(z, dtype=np.float64) - self.mean) / self.scale
-        return zs @ self.W.T + self.b
+        return matmul(zs, self.W.T) + self.b
 
     def predict_proba(self, z: np.ndarray) -> np.ndarray:
         return softmax(self.logits(z))
@@ -116,9 +116,9 @@ def fit_linear_probe(z: np.ndarray, y: np.ndarray, rng: Rng,
         for lo in range(0, m, step):
             zb = z_tr[lo:lo + step]
             e = buf[:zb.shape[0]]
-            np.matmul(zb, Wb.T, out=e)
+            matmul(zb, Wb.T, out=e)
             _, sums = exp_rows(e, bound)
-            grad += e.T @ (zb / sums[:, None])
+            grad += matmul(e.T, zb / sums[:, None])
         grad /= m
         Wb -= lr * grad
         bound = _logit_bound(z_norm_max, Wb)
@@ -126,7 +126,7 @@ def fit_linear_probe(z: np.ndarray, y: np.ndarray, rng: Rng,
         for lo in range(0, n_val, step):
             zb, yb = z_val[lo:lo + step], y_val[lo:lo + step]
             e = buf[:zb.shape[0]]
-            np.matmul(zb, Wb.T, out=e)
+            matmul(zb, Wb.T, out=e)
             target = e[np.arange(yb.size), yb]
             c, sums = exp_rows(e, bound)
             loss += float(np.sum(c + np.log(sums) - target))

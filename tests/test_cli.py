@@ -471,11 +471,32 @@ def test_train_setting_out_of_range_exits_2(tmp_path, capsys, line, message):
      "objective.w_var must be finite and >= 0, got -1.0"),
     (["objective.sim = euclid"],
      "objective.sim must be dot or cosine, got 'euclid'"),
+    (["world.r_max = inf", "world.r_min = inf"],
+     "world.r_min must be finite, got inf"),
+    (["world.r_max = inf"], "world.r_max must be finite, got inf"),
+    (["world.radius_values = 0.5, nan"],
+     "world.radius_values must be finite, got (0.5, nan)"),
+    (["world.kind = six_nine", "world.center_x = nan"],
+     "world.center_x must be finite, got nan"),
+    (["world.kind = six_nine", "world.center_y = -inf"],
+     "world.center_y must be finite, got -inf"),
+    (["world.kind = six_nine", "world.sigma = inf"],
+     "world.sigma must be finite, got inf"),
+    (["world.kind = foo"], "world.kind must be one of "
+     "('rotation', 'bernoulli_uv', 'six_nine'), got 'foo'"),
+    (["encoder.arch = conv"],
+     "encoder.arch must be one of ('linear', 'mlp1'), got 'conv'"),
+    (["theory.scenario = bogus"], "theory.scenario must be one of ('', "
+     "'orthogonality_rotation', 'over_invariance_bernoulli', "
+     "'merged_orbits'), got 'bogus'"),
 ], ids=["r_min_above_r_max", "r_min_negative", "r_min_nan",
         "r_max_below_r_min", "init_scale_negative", "sigma_zero",
         "sigma_negative", "eval_every_negative", "pool_below_budgets",
         "budget_one", "theory_n_one", "batch_size_zero", "batch_size_one_nce",
-        "tau_zero", "w_var_negative", "sim_unknown"])
+        "tau_zero", "w_var_negative", "sim_unknown", "r_min_infinite",
+        "r_max_infinite", "radius_values_nan", "center_x_nan",
+        "center_y_infinite", "sigma_infinite", "world_kind_unknown",
+        "encoder_arch_unknown", "theory_scenario_unknown"])
 def test_setting_rejected_before_any_work(tmp_path, capsys, lines, message):
     # each config would train for 50 steps and snapshot every 10; a
     # rejected one exits 2 naming the line of its last key, and leaves no

@@ -1,11 +1,24 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pelab
 from pelab.errors import ContractViolation
-from pelab.numerics import (Encoder, Rng, exp_rows, finite_diff,
-                            make_encoder, param_gradient)
-from pelab.objectives import (covariance_penalty_value_grad,
-                              infonce_value_grad, invariance_value_grad)
+from pelab.metrics import MetricSuiteOptions, certify_encoder
+from pelab.numerics import (BLAS_ONE_THREAD_MAX, Encoder, Rng, exp_rows,
+                            finite_diff, make_encoder, matmul, param_gradient)
+from pelab.objectives import (ObjectiveSpec, covariance_penalty_value_grad,
+                              infonce_value_grad, invariance_value_grad,
+                              perc_loss)
+from pelab.worlds import sample_batch
 
 from conftest import identity_encoder, relative_l2_error
 
@@ -154,6 +167,115 @@ def test_backprop_with_forward_hidden_is_bit_identical(arch):
     assert (hidden is None) == (arch == "linear")
     assert np.array_equal(enc.backprop_params(x, gz, hidden),
                           enc.backprop_params(x, gz))
+
+
+@st.composite
+def _products(draw):
+    """(a, b, out) with a row count below, at or above one block, or past
+    whole blocks by a remainder; b is C-ordered, a transposed weight (W.T)
+    or a transposed column slice (b[cols].T); out is None or a buffer's rows."""
+    k, m = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    step = BLAS_ONE_THREAD_MAX // (k * m)
+    n = draw(st.sampled_from([1, step - 1, step, step + 1, 2 * step,
+                              3 * step - 1]) | st.integers(2, 3 * step + 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(n, k))
+    w = rng.normal(size=(m + 3, k))
+    b = draw(st.sampled_from([np.ascontiguousarray(w[:m].T), w[:m].T,
+                              w[3:].T]))
+    out = draw(st.sampled_from([None, np.full((n + 5, m), np.nan)[:n]]))
+    return a, b, out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_products())
+def test_matmul_equals_np_matmul(product):
+    a, b, out = product
+    expected = np.matmul(a, b)
+    got = matmul(a, b, out=out)
+    assert out is None or got is out
+    (n, k), m = a.shape, b.shape[1]
+    if n * k * m <= BLAS_ONE_THREAD_MAX:
+        assert np.array_equal(got, expected)   # one call: the same bits
+    else:
+        # every row is summed over the same k terms, but the BLAS kernel
+        # chosen for a block's size may round its last bits differently:
+        # bounded by twice the error of a k-term float64 dot product
+        tol = 2 * k * np.finfo(np.float64).eps * (np.abs(a) @ np.abs(b))
+        assert np.all(np.abs(got - expected) <= tol)
+
+
+def test_matmul_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a child with one OpenBLAS thread stands for a one-core machine; there,
+    # one np.matmul of (256, 4) @ (4, 1500) rounds its last columns
+    # differently from the two-thread product on two cores
+    shapes = [(256, 4, 1500), (4096, 32, 4), (512, 4, 512)]
+    script = (
+        "import sys, numpy as np\n"
+        "from pelab.numerics import matmul\n"
+        "rng = np.random.default_rng(0)\n"
+        f"for i, (n, k, m) in enumerate({shapes}):\n"
+        "    a, w = rng.normal(size=(n, k)), rng.normal(size=(m, k))\n"
+        "    np.save(f'{sys.argv[1]}/{i}.npy', matmul(a, w.T))\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(Path(pelab.__file__).parents[1]),
+               os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                   check=True, timeout=120)
+    rng = np.random.default_rng(0)
+    for i, (n, k, m) in enumerate(shapes):
+        a, w = rng.normal(size=(n, k)), rng.normal(size=(m, k))
+        assert np.array_equal(matmul(a, w.T), np.load(tmp_path / f"{i}.npy"))
+
+
+def _other_threads_cpu_ticks() -> int:
+    """utime + stime, in clock ticks, of every thread but the calling one."""
+    total = 0
+    for task in Path("/proc/self/task").iterdir():
+        if int(task.name) != threading.get_native_id():
+            fields = (task / "stat").read_text().rsplit(")", 1)[1].split()
+            total += int(fields[11]) + int(fields[12])
+    return total
+
+
+def _idle_ticks(timeout: float = 10.0) -> int:
+    """The other threads' CPU ticks once they stop using CPU: an OpenBLAS
+    worker spins for a while after each threaded call before it sleeps."""
+    ticks = _other_threads_cpu_ticks()
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        time.sleep(0.1)
+        ticks, previous = _other_threads_cpu_ticks(), ticks
+        if ticks == previous:
+            return ticks
+    pytest.fail("the process's other threads never went idle")
+
+
+def _certify_rotation_pel_shape(world):
+    enc = make_encoder("mlp1", 2, 4, 32, Rng(7), init_scale=4.0)
+    certify_encoder(enc, world, MetricSuiteOptions(n=4096), Rng(8))
+
+
+def _train_step_at_batch_512(world):
+    enc = make_encoder("mlp1", 2, 4, 32, Rng(7), init_scale=4.0)
+    perc_loss(enc, sample_batch(world, 512, Rng(9)),
+              ObjectiveSpec(use_nce=True, w_var=10.0, w_cov=1.0))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads thread CPU times from /proc/self/task")
+@pytest.mark.parametrize("work", [_certify_rotation_pel_shape,
+                                  _train_step_at_batch_512],
+                         ids=["certify_encoder_n4096", "perc_loss_batch512"])
+def test_no_blas_product_wakes_a_second_thread(rotation_world, work):
+    # numpy's BLAS starts its thread pool when it loads; a process with one
+    # thread has no worker to wake
+    if len(list(Path("/proc/self/task").iterdir())) < 2:
+        pytest.skip("BLAS runs only one thread")
+    before = _idle_ticks()
+    work(rotation_world)
+    assert _idle_ticks() - before < 2
 
 
 def test_finite_diff_quadratic():
