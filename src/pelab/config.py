@@ -158,6 +158,8 @@ class ExperimentConfig:
                 rule = relation if bound is None else f"{relation} {shown}"
                 raise ConfigurationError(f"{at}: {key} must be {rule}, "
                                          f"got {self[key]!r}")
+        if self["objective.w_eq"] > 0:
+            self._check_equivariance_target()
         self.objective = self.section("objective", ObjectiveSpec)
         self.train = self.section(
             "train", TrainConfig, steps=max(1, self["train.steps"]),
@@ -169,6 +171,22 @@ class ExperimentConfig:
         if key in self.values:
             return self.values[key]
         return SCHEMA[key][1]
+
+    def _check_equivariance_target(self):
+        """The equivariance term maps codes by the world's rho matrices, so
+        the world's transform family must declare rho, of size d_z."""
+        family = self.build_world().transforms
+        if family.rho is None:
+            need = (f"a transform family with rho; world.kind = "
+                    f"{self['world.kind']} has none")
+        elif (size := family.rho(0.0).shape[0]) != self["encoder.d_z"]:
+            need = (f"encoder.d_z = {size}, the size of rho, "
+                    f"got {self['encoder.d_z']}")
+        else:
+            return
+        raise ConfigurationError(
+            f"{self.where.get('objective.w_eq', self.source)}: "
+            f"objective.w_eq > 0 needs {need}")
 
     def section(self, prefix: str, cls, **extra):
         """``cls`` built from the ``prefix.*`` keys named like its fields, and

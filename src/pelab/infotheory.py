@@ -6,9 +6,16 @@ reparameterizations (bin membership depends only on sample ranks).  Every
 cell numbering -- joint integer codes and rows grouped to a tolerance --
 comes from one row coder, ``_row_codes``, so cells are always numbered in
 lexicographic row order.
+
+The cell kernel sorts each column once.  ``quantile_codes`` takes its edges
+and its codes from one ``argsort``; ``_row_codes`` renumbers integer keys of
+a narrow range by a counting pass and sorts only wide-range or float keys;
+cell sums are ``np.bincount`` weighted sums, added in row order.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,9 +29,25 @@ def codes_of(values) -> np.ndarray:
     return inv
 
 
+# integer keys spanning at most this many values per row are counted, not sorted
+_COUNTING_SPAN = 4
+
+
 def _row_codes(keys: np.ndarray) -> np.ndarray:
     """Codes 0..k-1 for the rows of a 2-d key array: equal rows share a
     code, and codes follow the lexicographic order of the rows."""
+    n = keys.shape[0]
+    if keys.dtype.kind == "i" and n:
+        lo = keys.min(axis=0)
+        spans = [int(hi) - int(low) + 1 for hi, low in zip(keys.max(axis=0), lo)]
+        if math.prod(spans) <= _COUNTING_SPAN * n:
+            # mixed-radix key, first column most significant: its order is
+            # the lexicographic row order
+            flat = np.zeros(n, dtype=np.int64)
+            for j, span in enumerate(spans):
+                flat = flat * span + (keys[:, j] - lo[j])
+            present = np.bincount(flat) > 0
+            return (np.cumsum(present) - 1)[flat]
     order = np.lexsort(keys.T[::-1])      # lexsort's last key is primary
     ranked = keys[order]
     starts = np.concatenate(([False], np.any(ranked[1:] != ranked[:-1], axis=1)))
@@ -40,11 +63,23 @@ def joint_codes(*code_arrays) -> np.ndarray:
 
 
 def quantile_codes(values, n_bins: int = 8) -> np.ndarray:
-    """Quantile-bin a 1-d array into at most n_bins integer codes."""
+    """Quantile-bin a 1-d array into at most n_bins integer codes: a value's
+    code is the number of distinct quantile edges at or below it.
+
+    One sort serves both steps.  The edges are quantiles of the sorted
+    column (the same order statistics, hence the same edges), and the codes
+    are assigned in rank space, then scattered back to the input order."""
     values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values)
+    ranked = values[order]
     qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-    edges = np.unique(np.quantile(values, qs))
-    return np.searchsorted(edges, values, side="right")
+    edges = np.unique(np.quantile(ranked, qs))
+    # edge j lies at or below every rank from first[j] on; a rank's code
+    # is the number of edges that have started by it
+    first = np.searchsorted(ranked, edges, side="left")
+    codes = np.empty(values.size, dtype=np.int64)
+    codes[order] = np.cumsum(np.bincount(first, minlength=values.size + 1))[:-1]
+    return codes
 
 
 def pca_directions(z: np.ndarray, k: int) -> np.ndarray:
@@ -76,9 +111,7 @@ def _distribution(codes, weights=None) -> np.ndarray:
     if weights is None:
         counts = np.bincount(codes)
         return counts / codes.size
-    weights = np.asarray(weights, dtype=np.float64)
-    dist = np.zeros(int(codes.max()) + 1)
-    np.add.at(dist, codes, weights)
+    dist = np.bincount(codes, weights=np.asarray(weights, dtype=np.float64))
     return dist / dist.sum()
 
 

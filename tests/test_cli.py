@@ -421,6 +421,31 @@ def test_binning_key_below_its_bound_exits_2(tmp_path, capsys, line, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("world, d_z, message", [
+    ("rotation", 4, "objective.w_eq > 0 needs encoder.d_z = 2, the size of "
+                    "rho, got 4"),
+    ("bernoulli_uv", 2, "objective.w_eq > 0 needs a transform family with "
+                        "rho; world.kind = bernoulli_uv has none"),
+], ids=["d_z_not_rho_size", "no_rho"])
+def test_equivariance_weight_unfit_for_world_exits_2(tmp_path, capsys, world,
+                                                     d_z, message):
+    cfg = tmp_path / "eq.cfg"
+    cfg.write_text(f"world.kind = {world}\nencoder.d_z = {d_z}\n"
+                   "train.steps = 5\nobjective.w_eq = 1.0\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"eq.cfg:4: {message}" in err
+    assert not out.exists()
+
+
+def test_equivariance_weight_fit_for_world_parses():
+    cfg = parse_config_text("world.kind = six_nine\nencoder.d_z = 2\n"
+                            "objective.w_eq = 0.5\n")
+    assert cfg.objective.w_eq == 0.5
+
+
 @pytest.mark.parametrize("line, message", [
     ("train.sigma_aug = -0.5", "sigma_aug must be finite and >= 0, got -0.5"),
     ("train.sigma_aug = inf", "sigma_aug must be finite and >= 0, got inf"),

@@ -1,10 +1,12 @@
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pelab.infotheory import joint_codes, rows_as_codes
+from pelab.infotheory import (entropy_bits, joint_codes, quantile_codes,
+                              rows_as_codes)
 from pelab.metrics import sufficiency_surrogate
 
 
@@ -70,6 +72,73 @@ _INTS = st.one_of(st.integers(-3, 5), st.integers(-2 ** 63, 2 ** 63 - 1))
 def test_joint_codes_match_unique_rows(rows):
     cols = np.array(rows, dtype=np.int64).T
     assert np.array_equal(joint_codes(*cols), _unique_row_codes(*cols))
+
+
+_SMALL_INTS = st.integers(-2, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.lists(_SMALL_INTS, min_size=k, max_size=k), min_size=1, max_size=200)))
+def test_joint_codes_counting_pass_matches_unique_rows(rows):
+    # narrow key ranges: the counting pass numbers these cells
+    cols = np.array(rows, dtype=np.int64).T
+    assert np.array_equal(joint_codes(*cols), _unique_row_codes(*cols))
+
+
+def test_joint_codes_wide_single_column_stays_sorted():
+    # a counting pass over this range would need a 1.3e9-entry table
+    assert joint_codes(np.array([0, 1_307_701_356])).tolist() == [0, 1]
+    assert joint_codes(np.array([0, 1, 0]),
+                       np.array([2 ** 62, 0, 2 ** 62])).tolist() == [0, 1, 0]
+
+
+def _unsorted_quantile_codes(values, n_bins):
+    """The former unsorted-search quantile coding, kept as the oracle."""
+    qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
+    return np.searchsorted(np.unique(np.quantile(values, qs)), values,
+                           side="right")
+
+
+_TIED = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.25, 1.0, 3.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_TIED, st.floats(-1e6, 1e6)), min_size=1,
+                max_size=300), st.integers(1, 130))
+def test_quantile_codes_match_unsorted_search(values, n_bins):
+    v = np.array(values)
+    codes = quantile_codes(v, n_bins)
+    assert codes.dtype == np.int64
+    assert np.array_equal(codes, _unsorted_quantile_codes(v, n_bins))
+
+
+@pytest.mark.parametrize("n_bins", [1, 2, 8, 64, 129, 130])
+@pytest.mark.parametrize("values", [
+    [4.0],                                          # n = 1
+    [-0.0, 0.0] * 20,                               # constant, signed zeros
+    np.round(np.random.default_rng(2).normal(size=4096), 1),   # heavy ties
+    np.random.default_rng(3).normal(size=4096),
+])
+def test_quantile_codes_edge_columns(values, n_bins):
+    v = np.asarray(values, dtype=np.float64)
+    assert np.array_equal(quantile_codes(v, n_bins),
+                          _unsorted_quantile_codes(v, n_bins))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 200), st.integers(1, 20))
+def test_weighted_entropy_matches_scatter_add(seed, n, k):
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, k, n)
+    weights = rng.random(n) * (rng.random(n) < 0.8)
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    dist = np.zeros(codes.max() + 1)
+    np.add.at(dist, codes, weights)
+    p = dist / dist.sum()
+    p = p[p > 0]
+    assert entropy_bits(codes, weights) == float(-np.sum(p * np.log2(p)))
 
 
 def test_sufficiency_one_bit_for_scaled_injective_code():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pelab.errors import ContractViolation
 from pelab.numerics import Encoder, Rng, make_encoder
 from pelab.objectives import ObjectiveSpec
 from pelab.probes import LinearHead
-from pelab.theory import (FactorThroughTFamily, assumption_audit, bayes_risk,
+from pelab.theory import (FactorThroughTFamily, _posterior_loss,
+                          assumption_audit, bayes_risk,
                           bayes_risk_through_encoder, empirical_bayes_risk,
                           factorization_residual,
                           monotone_scalar_link, orbit_merging_link,
@@ -77,6 +80,37 @@ def test_coarsening_never_decreases_bayes_risk(bernoulli_world):
             assert merged >= base - 1e-15, (loss, merge)
 
 
+def _scatter_add_risk(cells, weights, posteriors, loss):
+    """The former np.add.at cell aggregation, kept as the oracle."""
+    k = int(cells.max()) + 1
+    w_cell = np.zeros(k)
+    np.add.at(w_cell, cells, weights)
+    post_cell = np.zeros((k, posteriors.shape[1]))
+    np.add.at(post_cell, cells, weights[:, None] * posteriors)
+    nonzero = w_cell > 0
+    post_cell[nonzero] /= w_cell[nonzero, None]
+    losses = _posterior_loss(post_cell[nonzero], loss)
+    return float(np.sum(w_cell[nonzero] * losses))
+
+
+@pytest.mark.parametrize("loss", ["zero_one", "log"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300),
+       k=st.integers(1, 40), n_classes=st.integers(2, 4))
+def test_risk_of_cells_matches_scatter_add(loss, seed, n, k, n_classes):
+    rng = np.random.default_rng(seed)
+    cells = rng.integers(0, k, n)
+    weights = rng.random(n) * (rng.random(n) < 0.9)
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    weights /= weights.sum()
+    posteriors = rng.dirichlet(np.ones(n_classes), n)
+    one_hot = rng.random(n) < 0.5
+    posteriors[one_hot] = np.eye(n_classes)[rng.integers(0, n_classes, n)][one_hot]
+    assert risk_of_cells(cells, weights, posteriors, loss) == \
+        _scatter_add_risk(cells, weights, posteriors, loss)
+
+
 @pytest.mark.parametrize("loss", ["zero_one", "log"])
 def test_empirical_bayes_risk_ignores_constant_columns(loss):
     rng = np.random.default_rng(4)
@@ -146,6 +180,34 @@ def test_factorization_residual_is_zero(rotation_world, rng):
     family = FactorThroughTFamily(rotation_world, monotone_scalar_link())
     x = rotation_world.sample_x(rng, 500)
     assert factorization_residual(family, x) <= 1e-12
+
+
+def _dense_witness(family, t, in_gap=1e-3, out_tol=1e-9):
+    """The former dense (m, m, d) witness, kept as the oracle."""
+    t = np.asarray(t, dtype=np.float64).reshape(-1)
+    if t.size > 256:
+        t = t[np.linspace(0, t.size - 1, 256).astype(int)]
+    z = family.codes_of_t(t)
+    dt = np.abs(t[:, None] - t[None, :])
+    dz = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
+    mask = dt >= in_gap
+    violations = int(np.sum(dz[mask] < out_tol) // 2)
+    min_dz = float(dz[mask].min()) if mask.any() else float("inf")
+    return {"ok": violations == 0, "violations": violations,
+            "min_code_gap": min_dz}
+
+
+@pytest.mark.parametrize("d_out", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 5, 300, 4096])
+def test_injectivity_witness_matches_dense_oracle(d_out, m):
+    world = make_rotation_world()
+    rng = np.random.default_rng(d_out * 10_000 + m)
+    # steep tanh units saturate to exactly +-1, so some far pairs share a code
+    inner = Encoder("mlp1", 40.0 * rng.normal(size=(4, 1)), rng.normal(size=4),
+                    rng.normal(size=(d_out, 4)), np.zeros(d_out))
+    family = FactorThroughTFamily(world, inner)
+    t = np.round(rng.uniform(0.5, 1.5, m), 3)
+    assert family.injectivity_witness(t) == _dense_witness(family, t)
 
 
 def test_injectivity_witness_detects_merge():
