@@ -2,6 +2,24 @@
 representation certification, and numerical verification of the
 perception/decision separation theory."""
 
+import os
+
+# Every pelab product runs on the calling thread (``numerics.matmul``), so
+# OpenBLAS's thread pool does no work here; its worker only spins and slows
+# the main thread.  When pelab is the first to import numpy and no thread
+# count is set, numpy's BLAS is loaded with one thread.  OpenBLAS reads the
+# variable once, when it loads, so it is removed again at once and child
+# processes see the environment they were given.  Any of the variables that
+# OpenBLAS reads wins over this default; other BLAS builds ignore it.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS")
+if not any(name in os.environ for name in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401  (loads the BLAS)
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .errors import (ConfigurationError, ContractViolation, DegenerateError,
                      DivergenceError, NotApplicableError, PelabError)
 from .numerics import Encoder, Rng, finite_diff, make_encoder, param_gradient

@@ -284,6 +284,17 @@ def cmd_verify_theory(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _check_out(out: Path) -> None:
+    """Reject an ``--out`` that names a file or a path below one, so that
+    the command fails before its work rather than at its first write."""
+    for path in (out, *out.parents):
+        if path.is_dir():
+            return
+        if path.exists() or path.is_symlink():
+            raise ConfigurationError(
+                f"--out {out}: {path} exists and is not a directory")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pelab",
@@ -333,6 +344,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = cfg.with_override("seed", args.seed, where="--seed")
         out = Path(args.out)
+        _check_out(out)
 
         if args.command == "run":
             return cmd_run(cfg, out, args.quiet)

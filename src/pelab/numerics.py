@@ -10,7 +10,11 @@ arbitrary upstream code gradient.  ``exp_rows`` is the one row
 exponentiation that InfoNCE and the probes share: unshifted while the logits'
 bound allows it, shifted by each row's maximum beyond.  ``matmul`` is the
 product that every matrix with one row per sample goes through: it keeps
-each BLAS call small enough to run on the calling thread.
+each BLAS call small enough to run on the calling thread.  ``import pelab``
+loads the BLAS without a thread pool when it is the first to import numpy;
+a process that loaded numpy earlier keeps the pool, and there the row
+blocks keep every product off it and make its bits independent of the
+thread count.
 """
 
 from __future__ import annotations
@@ -47,8 +51,10 @@ def exp_rows(logits: np.ndarray, bound: float):
 
 # OpenBLAS runs a product of at most 2**18 multiply-adds on the calling thread
 # (its GEMM_MULTITHREAD_THRESHOLD of 4 x 65536) and hands a larger one to its
-# thread pool, whose worker then spins after the call: on 2 cores that was
-# 0.25 s of CPU in one certify of the rotation fixture, for no faster result.
+# thread pool, if the process has one (numpy was loaded before pelab), whose
+# worker then spins after the call: on 2 cores that was 0.25 s of CPU in one
+# certify of the rotation fixture, for no faster result.  A pool of 2 threads
+# also rounds some products differently from one thread.
 BLAS_ONE_THREAD_MAX = 1 << 18
 
 

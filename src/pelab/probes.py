@@ -92,8 +92,13 @@ def fit_linear_probe(z: np.ndarray, y: np.ndarray, rng: Rng,
     if train_ix.size == 0:
         raise ContractViolation("probe training split is empty")
 
-    mean = z[train_ix].mean(axis=0)
-    scale = z[train_ix].std(axis=0)
+    # finite codes near the float64 limit overflow the mean or the variance
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = z[train_ix].mean(axis=0)
+        scale = z[train_ix].std(axis=0)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale))):
+        raise DegenerateError("the training split's code mean or scale is "
+                              "not finite: codes too large to standardize")
     scale[scale < 1e-12] = 1.0
     # standardized codes with a constant last column that carries the bias
     za = np.ones((n, d + 1))

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pelab
 from pelab.numerics import Encoder, Rng
 from pelab.worlds import (make_bernoulli_uv_world, make_rotation_world,
                           make_six_nine_world)
@@ -42,3 +48,21 @@ def relative_l2_error(approx, exact):
     denom = max(float(np.linalg.norm(approx)), float(np.linalg.norm(exact)),
                 1e-12)
     return float(np.linalg.norm(approx - exact)) / denom
+
+
+# the variables OpenBLAS reads its thread count from, in its order
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS")
+
+
+def run_fresh_python(args, **blas_env):
+    """Run ``python *args`` in a fresh interpreter that imports pelab from
+    this tree, with no BLAS thread variable set but those in ``blas_env``;
+    return its stdout."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(blas_env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(pelab.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          check=True, capture_output=True, text=True,
+                          timeout=120).stdout

@@ -1,5 +1,7 @@
 import json
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,11 @@ from pelab.errors import ConfigurationError, ContractViolation
 from pelab.metrics import MetricInputs, certify
 from pelab.numerics import Rng, make_encoder
 from pelab.worlds import make_bernoulli_uv_world, sample_batch
+
+from conftest import run_fresh_python
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import fixtures  # noqa: E402
 
 
 def run_cli(*argv):
@@ -169,6 +176,22 @@ def test_run_training_snapshots_byte_identical(tmp_path):
     assert m["invariance_auc"]["detail"]["n"] == 256
 
 
+def test_report_bytes_do_not_depend_on_the_blas_thread_default(tmp_path):
+    # fresh processes: one with pelab's one-thread BLAS, one with a pool of
+    # two; every product is blocked onto the calling thread either way
+    csv = fixtures.write_fixtures(tmp_path / "fix", 0)["rotation"]
+    reports = []
+    for blas_env in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        out = tmp_path / f"threads{len(reports)}"
+        for command in (["run", "--config", "bernoulli_counterexample"],
+                        ["certify", str(csv)]):
+            run_fresh_python(["-m", "pelab.cli", *command, "--quiet",
+                              "--out", str(out / command[0])], **blas_env)
+        reports.append([(out / c / "report.json").read_bytes()
+                        for c in ("run", "certify")])
+    assert reports[0] == reports[1]
+
+
 def test_run_missing_config_exits_2(tmp_path):
     assert run_cli("run", "--config", "no_such_config",
                    "--out", str(tmp_path)) == 2
@@ -272,6 +295,25 @@ def test_certify_overflowing_codes_report_degenerate(tmp_path):
                    parse_constant=lambda c: pytest.fail(f"JSON constant {c}"))
     assert m["metrics"]["per_dim_variance"]["status"] == "degenerate"
     assert m["metrics"]["per_dim_variance"]["value"] is None
+
+
+def test_certify_codes_too_large_to_standardize_degenerate_probes(tmp_path):
+    # finite N(0, 1) * 1e200 codes: the probes' standardization overflows
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=(300, 2)) * 1e200
+    v, y = rng.integers(0, 2, size=300), rng.integers(0, 2, size=300)
+    csv = tmp_path / "huge.csv"
+    csv.write_text("z_0,z_1,v,y\n" + "".join(
+        f"{float(a)!r},{float(b)!r},{c},{d}\n"
+        for (a, b), c, d in zip(z, v, y)))
+    out = tmp_path / "cert"
+    with np.errstate(all="ignore"):   # the geometry metrics overflow too
+        assert run_cli("certify", str(csv), "--out", str(out), "--quiet") == 0
+    m = json.loads((out / "report.json").read_text())["metrics"]
+    for name in ("label_probe_accuracy", "leakage_probe_auc"):
+        assert m[name]["status"] == "degenerate", name
+        assert m[name]["value"] is None
+        assert "too large to standardize" in m[name]["detail"]["reason"]
 
 
 def test_certify_csv_matches_registry_on_world_arrays(tmp_path):
@@ -575,3 +617,28 @@ def test_verify_theory_requires_scenario(tmp_path):
     cfg.write_text("seed = 1\n")
     assert run_cli("verify-theory", "--config", str(cfg),
                    "--out", str(tmp_path)) == 2
+
+
+# ---------------------------------------------------------------------------
+# --out
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["run", "certify", "verify-theory"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+def test_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, command,
+                                                   below):
+    # rotation_pel would train for seconds before its first write; the
+    # embeddings path is missing, so a certify that read it would fail
+    # differently
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" / "out" if below else blocker
+    args = {"run": ["run", "--config", "rotation_pel"],
+            "certify": ["certify", str(tmp_path / "missing.csv")],
+            "verify-theory": ["verify-theory", "--config", "merged_orbits"]}
+    assert run_cli(*args[command], "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: ") and err.count("\n") == 1
+    assert f"{blocker} exists and is not a directory" in err
+    assert blocker.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]

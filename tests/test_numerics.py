@@ -1,5 +1,5 @@
+import json
 import os
-import subprocess
 import sys
 import threading
 import time
@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pelab
 from pelab.errors import ContractViolation
 from pelab.metrics import MetricSuiteOptions, certify_encoder
 from pelab.numerics import (BLAS_ONE_THREAD_MAX, Encoder, Rng, exp_rows,
@@ -20,7 +19,8 @@ from pelab.objectives import (ObjectiveSpec, covariance_penalty_value_grad,
                               perc_loss)
 from pelab.worlds import sample_batch
 
-from conftest import identity_encoder, relative_l2_error
+from conftest import (BLAS_THREAD_VARS, identity_encoder, relative_l2_error,
+                      run_fresh_python)
 
 
 def test_forward_identity_map():
@@ -217,16 +217,38 @@ def test_matmul_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
         f"for i, (n, k, m) in enumerate({shapes}):\n"
         "    a, w = rng.normal(size=(n, k)), rng.normal(size=(m, k))\n"
         "    np.save(f'{sys.argv[1]}/{i}.npy', matmul(a, w.T))\n")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [
-               str(Path(pelab.__file__).parents[1]),
-               os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
-                   check=True, timeout=120)
+    run_fresh_python(["-c", script, str(tmp_path)], OPENBLAS_NUM_THREADS="1")
     rng = np.random.default_rng(0)
     for i, (n, k, m) in enumerate(shapes):
         a, w = rng.normal(size=(n, k)), rng.normal(size=(m, k))
         assert np.array_equal(matmul(a, w.T), np.load(tmp_path / f"{i}.npy"))
+
+
+_OPENBLAS = "openblas" in str(np.show_config(mode="dicts")
+                              ["Build Dependencies"]["blas"].get("name"))
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and _OPENBLAS),
+                    reason="counts OpenBLAS threads in /proc/self/task")
+@pytest.mark.parametrize("blas_env, tasks", [
+    ({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2), ({"OMP_NUM_THREADS": "2"}, 2),
+], ids=["default", "openblas_num_threads_2", "omp_num_threads_2"])
+def test_importing_pelab_first_loads_the_blas_without_its_pool(blas_env,
+                                                               tasks):
+    # a product of 2000 * 300 * 300 multiply-adds, far above
+    # BLAS_ONE_THREAD_MAX, would start any pool OpenBLAS had; an explicit
+    # thread count wins, and the environment is left as it was given
+    if tasks > len(os.sched_getaffinity(0)):
+        pytest.skip("OpenBLAS runs no more threads than there are cores")
+    script = ("import os, json, pelab, numpy as np\n"
+              "np.matmul(np.ones((2000, 300)), np.ones((300, 300)))\n"
+              "print(len(os.listdir('/proc/self/task')))\n"
+              f"names = {BLAS_THREAD_VARS}\n"
+              "print(json.dumps({k: os.environ[k] for k in names\n"
+              "                  if k in os.environ}))\n")
+    count, env = run_fresh_python(["-c", script], **blas_env).splitlines()
+    assert int(count) == tasks
+    assert json.loads(env) == blas_env
 
 
 def _other_threads_cpu_ticks() -> int:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pelab import probes
+from pelab.errors import DegenerateError
 from pelab.numerics import Rng
 from pelab.probes import fit_linear_probe
 
@@ -181,3 +182,16 @@ def test_predict_proba_leaves_input_codes_unchanged():
     assert np.array_equal(z, z_before)
     assert np.allclose(proba.sum(axis=1), 1.0)
     assert np.array_equal(proba, _softmax(head.logits(z)))
+
+
+@pytest.mark.parametrize("scale, shift", [(1e200, 0.0), (1e307, 10.0)])
+def test_fit_linear_probe_rejects_codes_too_large_to_standardize(scale, shift):
+    # every code is finite, but the variance (scale 1e200) or also the mean
+    # (1e308 codes) of the training split overflows; the pytest config turns
+    # an overflow warning into an error, so the check must also run silently
+    rng = np.random.default_rng(0)
+    z = scale * (rng.normal(size=(300, 2)) + shift)
+    y = rng.integers(0, 2, size=300)
+    assert np.all(np.isfinite(z))
+    with pytest.raises(DegenerateError, match="mean or scale is not finite"):
+        fit_linear_probe(z, y, Rng(1))
