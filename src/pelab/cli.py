@@ -9,6 +9,7 @@ usage/config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -295,7 +296,10 @@ def _check_out(out: Path) -> None:
                 f"--out {out}: {path} exists and is not a directory")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    leaves it unchanged, and in-process callers run ``main`` many times."""
     parser = argparse.ArgumentParser(
         prog="pelab",
         description="perception-learning laboratory: train task-agnostic "

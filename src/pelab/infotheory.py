@@ -8,7 +8,8 @@ comes from one row coder, ``_row_codes``, so cells are always numbered in
 lexicographic row order.
 
 The cell kernel sorts each column once.  ``quantile_codes`` takes its edges
-and its codes from one ``argsort``; ``_row_codes`` renumbers integer keys of
+and its codes from one ``argsort``, reading the edges off the sorted column
+by numpy's quantile rule; ``_row_codes`` renumbers integer keys of
 a narrow range by a counting pass and sorts only wide-range or float keys;
 cell sums are ``np.bincount`` weighted sums, added in row order.
 """
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, DegenerateError
 from .numerics import as_samples, matmul
 
 
@@ -62,18 +63,39 @@ def joint_codes(*code_arrays) -> np.ndarray:
         [np.asarray(c, dtype=np.int64) for c in code_arrays]))
 
 
+def _sorted_quantiles(ranked: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """``np.quantile(ranked, qs)`` of a sorted float64 column, read off it by
+    numpy's linear rule without a partition: position p = q (n - 1),
+    a = ranked[floor p], b the next value and t = p - floor p, then
+    a + (b - a) t for t < 1/2 and b - (b - a)(1 - t) from 1/2 on.  A NaN
+    sorts last and makes every quantile NaN, as in numpy."""
+    last = ranked.size - 1
+    pos = last * qs
+    lo = np.floor(pos)
+    t = pos - lo
+    lo = lo.astype(np.intp)
+    a = ranked[lo]
+    b = ranked[np.minimum(lo + 1, last)]
+    d = b - a
+    edges = np.where(t < 0.5, a + d * t, b - d * (1 - t))
+    if np.isnan(ranked[-1]):
+        edges[...] = ranked[-1]
+    return edges
+
+
 def quantile_codes(values, n_bins: int = 8) -> np.ndarray:
     """Quantile-bin a 1-d array into at most n_bins integer codes: a value's
     code is the number of distinct quantile edges at or below it.
 
-    One sort serves both steps.  The edges are quantiles of the sorted
-    column (the same order statistics, hence the same edges), and the codes
-    are assigned in rank space, then scattered back to the input order."""
+    One sort serves both steps.  The edges are read off the sorted column
+    by numpy's interpolation rule (the same order statistics, hence the
+    same edges), and the codes are assigned in rank space, then scattered
+    back to the input order."""
     values = np.asarray(values, dtype=np.float64)
     order = np.argsort(values)
     ranked = values[order]
     qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-    edges = np.unique(np.quantile(ranked, qs))
+    edges = np.unique(_sorted_quantiles(ranked, qs))
     # edge j lies at or below every rank from first[j] on; a rank's code
     # is the number of edges that have started by it
     first = np.searchsorted(ranked, edges, side="left")
@@ -83,9 +105,14 @@ def quantile_codes(values, n_bins: int = 8) -> np.ndarray:
 
 
 def pca_directions(z: np.ndarray, k: int) -> np.ndarray:
-    """Top-k principal directions (columns), sign-fixed for determinism."""
+    """Top-k principal directions (columns), sign-fixed for determinism.
+    Codes whose covariance overflows float64 raise DegenerateError."""
     z = np.asarray(z, dtype=np.float64)
-    w, vec = np.linalg.eigh(np.atleast_2d(np.cov(z, rowvar=False)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = np.atleast_2d(np.cov(z, rowvar=False))
+    if not np.isfinite(cov).all():
+        raise DegenerateError("the codes' covariance is not finite in float64")
+    w, vec = np.linalg.eigh(cov)
     order = np.argsort(w)[::-1][:k]
     dirs = vec[:, order]
     for j in range(dirs.shape[1]):

@@ -136,10 +136,18 @@ def smoothness(enc: Encoder, world: World, n: int, rng: Rng) -> float:
 
 
 def geometry_diagnostics(zbatch, gamma: float) -> dict:
+    """Variance-floor shortfall, squared off-diagonal covariance and
+    per-dimension variances of a code batch.  Finite codes whose second
+    moments overflow float64 (entries near 1e154 and beyond) raise
+    DegenerateError, and the overflow prints no warning."""
     z = np.asarray(zbatch, dtype=np.float64)
-    var_violation, _ = variance_floor_value_grad(z, gamma)
-    cov_offdiag, _ = covariance_penalty_value_grad(z)
-    per_dim = z.var(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var_violation, _ = variance_floor_value_grad(z, gamma)
+        cov_offdiag, _ = covariance_penalty_value_grad(z)
+        per_dim = z.var(axis=0, ddof=1)
+    if np.isfinite(z).all() and not (np.isfinite(cov_offdiag)
+                                     and np.isfinite(per_dim).all()):
+        raise DegenerateError("the codes' second moments overflow float64")
     return {"var_floor_violation": float(var_violation),
             "cov_offdiag": float(cov_offdiag),
             "per_dim_variance": [float(v) for v in per_dim],

@@ -6,7 +6,12 @@ All arrays are numpy float64 in row-major layout.  Batches are (n, d) with one
 sample per row.  Encoders are either a plain linear map or a one-hidden-layer
 tanh network ("mlp1"); both expose forward evaluation, the input Jacobians of
 a batch (one point is the one-row case), and parameter backpropagation for an
-arbitrary upstream code gradient.  ``exp_rows`` is the one row
+arbitrary upstream code gradient.  An encoder keeps its parameters in one
+flat buffer whose views are its weight matrices and biases, so a descent step
+adds its update in place.  A two-view loss reads a batch of view pairs
+stacked once (``worlds.Batch.pairs``, first views over second views): both
+views go through one forward and one backprop, and their code gradients are
+the two halves of one array.  ``exp_rows`` is the one row
 exponentiation that InfoNCE and the probes share: unshifted while the logits'
 bound allows it, shifted by each row's maximum beyond.  ``matmul`` is the
 product that every matrix with one row per sample goes through: it keeps
@@ -128,6 +133,13 @@ class Rng:
 # Encoder
 # ---------------------------------------------------------------------------
 
+def _affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x W' + b for a batch x, the bias added in place."""
+    a = matmul(x, W.T)
+    a += b
+    return a
+
+
 class Encoder:
     """Parameter container for the code map x -> z.
 
@@ -135,25 +147,30 @@ class Encoder:
     arch "mlp1":   z = W2 tanh(W1 x + b1) + b2 with W1 (d_hidden, d_x),
                    W2 (d_z, d_hidden).
 
-    Parameters mutate only through ``set_flat_params``/``add_to_params``;
-    every mutation is counted so separation audits can assert that decision
-    training never touched the encoder.
+    The parameters live in one flat float64 buffer in the order W1, b1, W2,
+    b2 (row-major); ``W1``, ``b1``, ``W2`` and ``b2`` are views of it.  They
+    mutate only through ``set_flat_params``/``add_to_params``, each one
+    write of the buffer; every mutation is counted so separation audits can
+    assert that decision training never touched the encoder.
     """
 
     def __init__(self, arch: str, W1, b1, W2=None, b2=None):
         if arch not in (ARCH_LINEAR, ARCH_MLP1):
             raise ContractViolation(f"unknown encoder arch {arch!r}")
         self.arch = arch
-        self.W1 = np.asarray(W1, dtype=np.float64)
-        self.b1 = np.asarray(b1, dtype=np.float64)
+        arrays = [W1, b1]
         if arch == ARCH_MLP1:
             if W2 is None or b2 is None:
                 raise ContractViolation("mlp1 encoder requires W2 and b2")
-            self.W2 = np.asarray(W2, dtype=np.float64)
-            self.b2 = np.asarray(b2, dtype=np.float64)
-        else:
-            self.W2 = None
-            self.b2 = None
+            arrays += [W2, b2]
+        arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+        self._flat = np.concatenate([a.ravel() for a in arrays])
+        views, off = [], 0
+        for a in arrays:
+            views.append(self._flat[off:off + a.size].reshape(a.shape))
+            off += a.size
+        self.W1, self.b1 = views[:2]
+        self.W2, self.b2 = views[2:] if arch == ARCH_MLP1 else (None, None)
         self.mutation_count = 0
         self._check_shapes()
 
@@ -167,9 +184,8 @@ class Encoder:
                 raise ContractViolation("W2/W1 dimension mismatch")
             if self.W2.shape[0] != self.b2.shape[0]:
                 raise ContractViolation("W2/b2 dimension mismatch")
-        for a in self._param_arrays():
-            if not np.all(np.isfinite(a)):
-                raise ContractViolation("encoder parameters must be finite")
+        if not np.all(np.isfinite(self._flat)):
+            raise ContractViolation("encoder parameters must be finite")
 
     # -- dimensions ---------------------------------------------------------
     @property
@@ -184,42 +200,39 @@ class Encoder:
     def d_hidden(self) -> int:
         return 0 if self.arch == ARCH_LINEAR else self.W1.shape[0]
 
-    def _param_arrays(self):
-        if self.arch == ARCH_LINEAR:
-            return [self.W1, self.b1]
-        return [self.W1, self.b1, self.W2, self.b2]
-
     @property
     def n_params(self) -> int:
-        return sum(a.size for a in self._param_arrays())
+        return self._flat.size
 
-    # -- flat parameter view --------------------------------------------------
+    # -- flat parameter buffer ------------------------------------------------
     def get_flat_params(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self._param_arrays()])
+        """A copy of the flat parameters."""
+        return self._flat.copy()
 
-    def set_flat_params(self, flat: np.ndarray) -> None:
+    def _checked(self, flat) -> np.ndarray:
         flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.n_params,):
+        if flat.shape != self._flat.shape:
             raise ContractViolation(
                 f"expected {self.n_params} parameters, got {flat.shape}")
-        off = 0
-        for a in self._param_arrays():
-            a[...] = flat[off:off + a.size].reshape(a.shape)
-            off += a.size
+        return flat
+
+    def set_flat_params(self, flat: np.ndarray) -> None:
+        self._flat[...] = self._checked(flat)
         self.mutation_count += 1
 
     def add_to_params(self, delta: np.ndarray) -> None:
-        self.set_flat_params(self.get_flat_params() + delta)
+        """Add ``delta`` to the flat parameters in place (one mutation)."""
+        self._flat += self._checked(delta)
+        self.mutation_count += 1
 
     def copy(self) -> "Encoder":
-        if self.arch == ARCH_LINEAR:
-            return Encoder(self.arch, self.W1.copy(), self.b1.copy())
-        return Encoder(self.arch, self.W1.copy(), self.b1.copy(),
-                       self.W2.copy(), self.b2.copy())
+        return Encoder(self.arch, self.W1, self.b1, self.W2, self.b2)
 
     # -- evaluation -----------------------------------------------------------
     def _hidden(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(matmul(x, self.W1.T) + self.b1)
+        # tanh over its own input: a large batch faults in one array, not two
+        a = _affine(x, self.W1, self.b1)
+        return np.tanh(a, out=a)
 
     def _as_batch(self, xbatch) -> np.ndarray:
         xbatch = np.asarray(xbatch, dtype=np.float64)
@@ -232,11 +245,11 @@ class Encoder:
         """Map a batch (n, d_x) of inputs to codes (n, d_z)."""
         xbatch = self._as_batch(xbatch)
         if self.arch == ARCH_LINEAR:
-            return matmul(xbatch, self.W1.T) + self.b1
-        # the hidden layer is freed before the bias add allocates the codes;
+            return _affine(xbatch, self.W1, self.b1)
+        # the hidden layer is freed as soon as the codes are computed;
         # keeping it alive, as _forward_hidden must, raised the peak RSS of
         # a rotation_pel run by about 0.5 MB (its certification forwards)
-        return matmul(self._hidden(xbatch), self.W2.T) + self.b2
+        return _affine(self._hidden(xbatch), self.W2, self.b2)
 
     def _forward_hidden(self, xbatch: np.ndarray):
         """``forward`` plus the hidden activations the codes were read from
@@ -244,7 +257,7 @@ class Encoder:
         if self.arch == ARCH_LINEAR:
             return self.forward(xbatch), None
         h = self._hidden(self._as_batch(xbatch))
-        return matmul(h, self.W2.T) + self.b2, h
+        return _affine(h, self.W2, self.b2), h
 
     def input_jacobians(self, xbatch: np.ndarray) -> np.ndarray:
         """Exact dz/dx at every row of a batch (n, d_x), shape (n, d_z, d_x):
@@ -313,25 +326,21 @@ def make_encoder(arch: str, d_x: int, d_z: int, d_hidden: int = 0,
 # Gradients
 # ---------------------------------------------------------------------------
 
-def param_gradient(enc: Encoder, code_loss, xbatch: np.ndarray,
-                   xplus: np.ndarray | None = None):
+def param_gradient(enc: Encoder, code_loss, xbatch: np.ndarray):
     """Exact analytic parameter gradient of a code-level loss.
 
-    code_loss(Z) -> (value, dL/dZ) for single-view losses, or
-    code_loss(Z, Zplus) -> (value, dL/dZ, dL/dZplus) when ``xplus`` is given.
-    The two views go through one forward and one backprop of the stacked
-    batch, and the backprop reuses the forward's hidden activations.
+    code_loss(Z) -> (value, dL/dZ) for the codes Z of the rows of
+    ``xbatch``.  A two-view loss reads a batch of view pairs stacked once,
+    first views over second views (``worlds.Batch.pairs``): it splits Z
+    into the codes of the two views and writes their gradients into the
+    halves of one dL/dZ, so both views go through one forward and one
+    backprop and neither the inputs nor the gradients are copied.  The
+    backprop reuses the forward's hidden activations.
     Returns (value, flat gradient).
     """
-    if xplus is None:
-        z, h = enc._forward_hidden(xbatch)
-        value, gz = code_loss(z)
-        return value, enc.backprop_params(xbatch, gz, h)
-    n = len(xbatch)
-    x2 = np.concatenate([xbatch, xplus])
-    z2, h2 = enc._forward_hidden(x2)
-    value, gz, gzp = code_loss(z2[:n], z2[n:])
-    return value, enc.backprop_params(x2, np.concatenate([gz, gzp]), h2)
+    z, h = enc._forward_hidden(xbatch)
+    value, gz = code_loss(z)
+    return value, enc.backprop_params(xbatch, gz, h)
 
 
 def finite_diff(fn, params: np.ndarray, step: float) -> np.ndarray:

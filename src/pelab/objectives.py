@@ -65,9 +65,11 @@ class ObjectiveSpec:
 def invariance_value_grad(z, zp):
     """Mean squared code distance between paired views."""
     n = z.shape[0]
-    diff = z - zp
-    value = float(np.sum(diff * diff)) / n
-    g = (2.0 / n) * diff
+    g = z - zp
+    # ndarray.sum skips np.sum's dispatch layer, which costs as much as a
+    # sum of this size; the gradient is scaled in place
+    value = float((g * g).sum()) / n
+    g *= 2.0 / n
     return value, g, -g
 
 
@@ -180,39 +182,39 @@ def perc_loss(enc, batch, spec: ObjectiveSpec, rho_source=None):
     weighted contribution of each active term and sums to the total.
     """
     components: dict[str, float] = {}
+    n = batch.n
 
-    def code_loss(z, zp):
-        gz = np.zeros_like(z)
-        gzp = np.zeros_like(zp)
+    def code_loss(z2):
+        # the codes of both views, stacked; each view's gradient is a half
+        z, zp = z2[:n], z2[n:]
+        terms = []   # (name, weight, value, dL/dz, dL/dzp or None)
         if spec.beta_inv > 0:
-            v, g, gp = invariance_value_grad(z, zp)
-            components["inv"] = spec.beta_inv * v
-            gz += spec.beta_inv * g
-            gzp += spec.beta_inv * gp
+            terms.append(("inv", spec.beta_inv, *invariance_value_grad(z, zp)))
         if spec.use_nce:
-            v, g, gp = infonce_value_grad(z, zp, spec.tau, spec.sim,
-                                          spec.symmetric_nce)
-            components["nce"] = v
-            gz += g
-            gzp += gp
+            terms.append(("nce", 1.0, *infonce_value_grad(
+                z, zp, spec.tau, spec.sim, spec.symmetric_nce)))
         if spec.w_var > 0:
-            v, g = variance_floor_value_grad(z, spec.gamma)
-            components["var"] = spec.w_var * v
-            gz += spec.w_var * g
+            terms.append(("var", spec.w_var,
+                          *variance_floor_value_grad(z, spec.gamma), None))
         if spec.w_cov > 0:
-            v, g = covariance_penalty_value_grad(z)
-            components["cov"] = spec.w_cov * v
-            gz += spec.w_cov * g
+            terms.append(("cov", spec.w_cov,
+                          *covariance_penalty_value_grad(z), None))
         if spec.w_eq > 0:
             if rho_source is None or rho_source.rho is None:
                 raise ConfigurationError(
                     "w_eq > 0 requires a transform family with rho")
             mats = rho_batch(rho_source, batch.deltas, z.shape[1])
-            v, g, gp = equivariance_value_grad(z, zp, mats)
-            components["eq"] = spec.w_eq * v
-            gz += spec.w_eq * g
-            gzp += spec.w_eq * gp
-        return float(sum(components.values())), gz, gzp
+            terms.append(("eq", spec.w_eq,
+                          *equivariance_value_grad(z, zp, mats)))
+        g2 = np.zeros(z2.shape)
+        gz, gzp = g2[:n], g2[n:]
+        for name, w, v, g, gp in terms:
+            # a weight of 1 multiplies nothing: 1.0 * g is g, bit for bit
+            components[name] = w * v
+            gz += g if w == 1.0 else w * g
+            if gp is not None:
+                gzp += gp if w == 1.0 else w * gp
+        return float(sum(components.values())), g2
 
-    total, grad = param_gradient(enc, code_loss, batch.x, batch.x_plus)
+    total, grad = param_gradient(enc, code_loss, batch.pairs)
     return total, grad, components

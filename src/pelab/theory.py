@@ -25,12 +25,11 @@ import numpy as np
 
 from . import infotheory as it
 from .errors import ContractViolation
-from .numerics import Encoder, Rng, as_samples, finite_diff, param_gradient
-from .objectives import (covariance_penalty_value_grad, infonce_value_grad,
-                         invariance_value_grad, variance_floor_value_grad)
+from .numerics import Encoder, Rng, as_samples, finite_diff
+from .objectives import ObjectiveSpec, invariance_value_grad, perc_loss
 from .probes import LinearHead
-from .worlds import (World, make_bernoulli_uv_world, make_rotation_world,
-                     sample_batch)
+from .worlds import (Batch, World, make_bernoulli_uv_world,
+                     make_rotation_world, sample_batch)
 
 LOSS_ZERO_ONE = "zero_one"
 LOSS_LOG = "log"
@@ -272,24 +271,21 @@ class TheoryVerdict:
 # ---------------------------------------------------------------------------
 
 def _family_gradient(family: FactorThroughTFamily, world: World, rng: Rng,
-                     code_loss, n: int = 512) -> np.ndarray:
-    """Analytic gradient of a two-view code loss with respect to the inner
-    parameters, on one sampled batch of view pairs."""
+                     spec: ObjectiveSpec, n: int = 512) -> np.ndarray:
+    """Analytic gradient of the perception loss ``spec`` with respect to the
+    inner parameters, on one sampled batch of view pairs seen through the
+    orbit statistic."""
     batch = sample_batch(world, n, rng, with_labels=False)
-    _, grad = param_gradient(family.inner, code_loss,
-                             family.t_columns(batch.x),
-                             family.t_columns(batch.x_plus))
-    return grad
+    orbits = Batch(family.t_columns(batch.x), family.t_columns(batch.x_plus),
+                   batch.deltas)
+    return perc_loss(family.inner, orbits, spec)[1]
 
 
-def _perception_code_loss(z, zp):
-    """Contrastive + diversity terms: within the family, a generically
-    nonzero perception-update direction that is tangent to the
-    factor-through manifold by construction."""
-    v1, g1, g1p = infonce_value_grad(z, zp, tau=0.5, sim="dot")
-    v2, g2 = variance_floor_value_grad(z, 1.0)
-    v3, g3 = covariance_penalty_value_grad(z)
-    return v1 + v2 + v3, g1 + g2 + g3, g1p
+# contrastive + diversity terms: within the family, a generically nonzero
+# perception-update direction that is tangent to the factor-through
+# manifold by construction
+_PERCEPTION_SPEC = ObjectiveSpec(beta_inv=0.0, use_nce=True, tau=0.5,
+                                 sim="dot", gamma=1.0, w_var=1.0, w_cov=1.0)
 
 
 def orthogonality_check(family: FactorThroughTFamily, world: World,
@@ -335,7 +331,7 @@ def orthogonality_check(family: FactorThroughTFamily, world: World,
             return empirical_bayes_risk(family.codes_of_t(t_eval), y_eval,
                                         loss, res, world.n_classes)
 
-    psi0 = family.get_flat_params().copy()
+    psi0 = family.get_flat_params()
     f0 = risk_at(psi0)
     witness0 = family.injectivity_witness(t_eval)
 
@@ -345,8 +341,8 @@ def orthogonality_check(family: FactorThroughTFamily, world: World,
 
     # the invariance gradient is identically zero at exact invariance;
     # it is computed through the real machinery rather than assumed
-    g_inv = _family_gradient(family, world, rng_ginv, invariance_value_grad)
-    g_perc = _family_gradient(family, world, rng_gperc, _perception_code_loss)
+    g_inv = _family_gradient(family, world, rng_ginv, ObjectiveSpec())
+    g_perc = _family_gradient(family, world, rng_gperc, _PERCEPTION_SPEC)
     directions = [("invariance_gradient", g_inv, t_grid),
                   ("perception_gradient", g_perc, t_grid)]
     for i in range(n_random_dirs):
@@ -427,10 +423,10 @@ def over_invariance_check(world: World, rng: Rng,
     enc = Encoder("linear", np.array([[1.0, 2.0]]), np.zeros(1))
     f_start = bayes_risk_through_encoder(enc, world, LOSS_ZERO_ONE)
     batch = sample_batch(world, n, rng, with_labels=False)
+    spec = ObjectiveSpec()   # the invariance loss alone
     first_linv = None
     for _ in range(steps):
-        linv, grad = param_gradient(enc, invariance_value_grad,
-                                    batch.x, batch.x_plus)
+        linv, grad, _ = perc_loss(enc, batch, spec)
         if first_linv is None:
             first_linv = linv
         enc.add_to_params(-lr * grad)

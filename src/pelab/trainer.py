@@ -94,8 +94,9 @@ class _Sgd:
     def __init__(self, lr):
         self.lr = lr
 
-    def update(self, params, grad):
-        return params - self.lr * grad
+    def step(self, grad):
+        """The parameter change for one gradient."""
+        return -self.lr * grad
 
 
 class _Adam:
@@ -105,13 +106,16 @@ class _Adam:
         self.v = np.zeros(size)
         self.t = 0
 
-    def update(self, params, grad):
+    def step(self, grad):
+        """The parameter change for one gradient; the moments update in
+        place."""
         self.t += 1
-        self.m = self.b1 * self.m + (1 - self.b1) * grad
-        self.v = self.b2 * self.v + (1 - self.b2) * grad * grad
-        m_hat = self.m / (1 - self.b1 ** self.t)
-        v_hat = self.v / (1 - self.b2 ** self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m *= self.b1
+        self.m += (1 - self.b1) * grad
+        self.v *= self.b2
+        self.v += (1 - self.b2) * grad * grad
+        denom = np.sqrt(self.v / (1 - self.b2 ** self.t)) + self.eps
+        return -self.lr * (self.m / (1 - self.b1 ** self.t)) / denom
 
 
 def _make_optimizer(cfg: TrainConfig, size: int):
@@ -147,7 +151,7 @@ def train_perception(world: World, enc_init: Encoder, cfg: TrainConfig,
                 f"non-finite loss at step {step}: total={total!r}, "
                 f"components={comps!r}")
         log.append(step, comps, total)
-        enc.set_flat_params(opt.update(enc.get_flat_params(), grad))
+        enc.add_to_params(opt.step(grad))
         if snapshot_fn is not None and cfg.eval_every > 0 \
                 and step % cfg.eval_every == 0:
             log.snapshots.append((step, snapshot_fn(step, enc)))

@@ -28,11 +28,6 @@ from .errors import ContractViolation, NotApplicableError
 from .numerics import Rng
 
 
-def rotation_matrix(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
 # ---------------------------------------------------------------------------
 # Transform families
 # ---------------------------------------------------------------------------
@@ -64,9 +59,11 @@ class RotationFamily:
         out[:, 1] = s * x[:, 0] + c * x[:, 1]
         return out
 
-    def rho(self, delta: float) -> np.ndarray:
-        """Code-space representation: the same rotation acting on a 2-d code."""
-        return rotation_matrix(float(delta))
+    def rho(self, delta) -> np.ndarray:
+        """Code-space representation: the same rotation acting on a 2-d
+        code; (2, 2) for one angle, (n, 2, 2) for an array of n angles."""
+        c, s = np.cos(delta), np.sin(delta)
+        return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
 
 class FlipVFamily:
@@ -101,15 +98,20 @@ class NegationFamily:
         d = np.atleast_1d(np.asarray(deltas, dtype=np.float64))
         return x * (1.0 - 2.0 * d)[:, None]
 
-    def rho(self, delta: float) -> np.ndarray:
-        return -np.eye(2) if delta >= 0.5 else np.eye(2)
+    def rho(self, delta) -> np.ndarray:
+        """-I for delta = 1, I for delta = 0; (2, 2) for one delta, (n, 2, 2)
+        for an array of n."""
+        sign = np.where(np.asarray(delta) >= 0.5, -1.0, 1.0)
+        return sign[..., None, None] * np.eye(2)
 
 
 def rho_batch(family, deltas, d_z: int) -> np.ndarray:
-    """Stack rho(delta_i) matrices, validating the declared code dimension."""
+    """The (n, d_z, d_z) stack of rho(delta_i), validating the declared code
+    dimension.  A family's ``rho`` maps an array of n deltas to that stack
+    in one call (and one delta to one matrix)."""
     if family.rho is None:
         raise ContractViolation(f"family {family.kind} declares no rho")
-    mats = np.stack([family.rho(d) for d in np.atleast_1d(deltas)])
+    mats = family.rho(np.atleast_1d(np.asarray(deltas, dtype=np.float64)))
     if mats.shape[1] != d_z or mats.shape[2] != d_z:
         raise ContractViolation(
             f"rho matrices are {mats.shape[1]}x{mats.shape[2]} but d_z={d_z}")
@@ -151,12 +153,21 @@ class World:
 
 @dataclass
 class Batch:
+    """n view pairs.  ``pairs`` stacks the inputs once, (2n, d_x) with the
+    first views over the second; ``x`` and ``x_plus`` are its two halves,
+    so a two-view pass reads both views without copying them."""
     x: np.ndarray
     x_plus: np.ndarray
     deltas: np.ndarray
     v: np.ndarray | None = None
     t: np.ndarray | None = None
     y: np.ndarray | None = None
+    pairs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = len(self.x)
+        self.pairs = np.concatenate([self.x, self.x_plus])
+        self.x, self.x_plus = self.pairs[:n], self.pairs[n:]
 
     @property
     def n(self) -> int:

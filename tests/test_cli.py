@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pelab.cli import _read_embeddings_csv, main
+from pelab.cli import _build_parser, _read_embeddings_csv, main
 from pelab.config import SCHEMA, parse_config_text, schema_help
 from pelab.errors import ConfigurationError, ContractViolation
 from pelab.metrics import MetricInputs, certify
@@ -100,6 +100,18 @@ def test_list_worlds_and_schema_exit_zero(capsys):
     assert "rotation" in out and "bernoulli_uv" in out and "six_nine" in out
     assert run_cli("print-config-schema") == 0
     assert "world.kind" in capsys.readouterr().out
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    parser = _build_parser()
+    assert run_cli("list-worlds") == 0
+    # a failed parse leaves the parser as it was for the next call
+    with pytest.raises(SystemExit):
+        main(["verify-theory"])
+    assert run_cli("verify-theory", "--config", "merged_orbits", "--out",
+                   str(tmp_path / "v"), "--quiet") == 0
+    assert _build_parser() is parser
+    assert "--config" in capsys.readouterr().err
 
 
 def test_run_bernoulli_counterexample(tmp_path):
@@ -314,6 +326,31 @@ def test_certify_codes_too_large_to_standardize_degenerate_probes(tmp_path):
         assert m[name]["status"] == "degenerate", name
         assert m[name]["value"] is None
         assert "too large to standardize" in m[name]["detail"]["reason"]
+
+
+def test_certify_overflowing_second_moments_name_the_overflow(tmp_path,
+                                                             capsys):
+    # finite N(0, 1) * 1e200 codes: their squares overflow float64.  The
+    # suite runs with RuntimeWarnings as errors, so any overflow warning
+    # would fail the command
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=(300, 3)) * 1e200
+    v, y = rng.integers(0, 2, size=300), rng.integers(0, 2, size=300)
+    csv = tmp_path / "huge.csv"
+    csv.write_text("z_0,z_1,z_2,v,y\n" + "".join(
+        f"{float(a)!r},{float(b)!r},{float(c)!r},{d},{e}\n"
+        for (a, b, c), d, e in zip(z, v, y)))
+    out = tmp_path / "cert"
+    assert run_cli("certify", str(csv), "--out", str(out), "--quiet") == 0
+    assert capsys.readouterr().err == ""
+    m = json.loads((out / "report.json").read_text())["metrics"]
+    for name in ("var_floor_violation", "cov_offdiag", "per_dim_variance"):
+        assert m[name]["status"] == "degenerate", name
+        assert "second moments overflow" in m[name]["detail"]["reason"]
+    # three code dimensions are binned on principal directions, whose
+    # covariance overflows too
+    assert m["normalized_mi"]["status"] == "degenerate"
+    assert "covariance is not finite" in m["normalized_mi"]["detail"]["reason"]
 
 
 def test_certify_csv_matches_registry_on_world_arrays(tmp_path):

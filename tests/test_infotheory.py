@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pelab.infotheory import (entropy_bits, joint_codes, quantile_codes,
-                              rows_as_codes)
+from pelab.infotheory import (_sorted_quantiles, entropy_bits, joint_codes,
+                              quantile_codes, rows_as_codes)
 from pelab.metrics import sufficiency_surrogate
 
 
@@ -124,6 +124,43 @@ def test_quantile_codes_edge_columns(values, n_bins):
     v = np.asarray(values, dtype=np.float64)
     assert np.array_equal(quantile_codes(v, n_bins),
                           _unsorted_quantile_codes(v, n_bins))
+
+
+def _same_quantiles(ranked, qs):
+    """_sorted_quantiles(ranked, qs) equals np.quantile(ranked, qs) bit for
+    bit, up to the sign of a zero: np.quantile partitions its input, which
+    may swap -0.0 and 0.0 (they compare equal), so that sign does not
+    follow the column; adding 0.0 maps -0.0 to 0.0 and keeps every other
+    value's bits.  Quantile codes never see the sign."""
+    edges = _sorted_quantiles(ranked, qs)
+    ref = np.quantile(ranked, qs)
+    return np.array_equal(edges, ref, equal_nan=True) \
+        and (edges + 0.0).tobytes() == (ref + 0.0).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_TIED, st.floats(-1e300, 1e300)), min_size=1,
+                max_size=600), st.integers(1, 130))
+def test_sorted_quantiles_match_np_quantile(values, n_bins):
+    qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
+    assert _same_quantiles(np.sort(np.array(values)), qs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 97, 4096, 5000])
+@pytest.mark.parametrize("n_bins", [2, 7, 63, 64, 129])
+def test_sorted_quantiles_match_np_quantile_on_long_columns(n, n_bins):
+    rng = np.random.default_rng(n * 1000 + n_bins)
+    qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
+    for column in (rng.normal(size=n), np.round(rng.normal(size=n), 1),
+                   rng.integers(0, 3, n).astype(np.float64)):
+        assert _same_quantiles(np.sort(column), qs)
+
+
+def test_sorted_quantiles_of_a_column_with_nan_are_nan():
+    ranked = np.sort(np.array([1.0, np.nan, 0.5, 2.0]))
+    qs = np.linspace(0.0, 1.0, 5)[1:-1]
+    assert np.isnan(_sorted_quantiles(ranked, qs)).all()
+    assert _same_quantiles(ranked, qs)
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,8 +16,9 @@ from pelab.numerics import (BLAS_ONE_THREAD_MAX, Encoder, Rng, exp_rows,
                             finite_diff, make_encoder, matmul, param_gradient)
 from pelab.objectives import (ObjectiveSpec, covariance_penalty_value_grad,
                               infonce_value_grad, invariance_value_grad,
-                              perc_loss)
-from pelab.worlds import sample_batch
+                              perc_loss, variance_floor_value_grad)
+from pelab.worlds import (Batch, make_bernoulli_uv_world, make_rotation_world,
+                          sample_batch)
 
 from conftest import (BLAS_THREAD_VARS, identity_encoder, relative_l2_error,
                       run_fresh_python)
@@ -103,11 +104,22 @@ def test_param_gradient_constant_loss_is_zero():
     assert np.array_equal(grad, np.zeros(enc.n_params))
 
 
+def _stacked(two_view_loss):
+    """A two-view code loss (z, zp) -> (value, dL/dz, dL/dzp), read on the
+    stacked codes of n view pairs."""
+    def loss(z2):
+        n = len(z2) // 2
+        value, gz, gzp = two_view_loss(z2[:n], z2[n:])
+        return value, np.concatenate([gz, gzp])
+    return loss
+
+
 def test_param_gradient_invariance_zero_under_identity_views():
     # x_plus == x: the invariance loss sits at its minimum, gradient vanishes
     enc = make_encoder("mlp1", 2, 3, 6, Rng(5))
     x = Rng(6).normal(size=(10, 2))
-    value, grad = param_gradient(enc, invariance_value_grad, x, x)
+    value, grad = param_gradient(enc, _stacked(invariance_value_grad),
+                                 np.concatenate([x, x]))
     assert value == 0.0
     assert np.array_equal(grad, np.zeros(enc.n_params))
 
@@ -118,7 +130,8 @@ def test_param_gradient_matches_finite_differences(arch):
     enc = make_encoder(arch, 2, 3, 6, rng)
     x = rng.normal(size=(12, 2))
     xp = rng.normal(size=(12, 2))
-    value, grad = param_gradient(enc, invariance_value_grad, x, xp)
+    value, grad = param_gradient(enc, _stacked(invariance_value_grad),
+                                 np.concatenate([x, xp]))
     assert value > 0
 
     def f(p):
@@ -145,7 +158,8 @@ def test_param_gradient_stacked_equals_separate_backprops(arch, two_view):
     x = rng.normal(size=(12, 2))
     xp = rng.normal(size=(12, 2))
     if two_view:
-        value, grad = param_gradient(enc, _two_view_loss, x, xp)
+        value, grad = param_gradient(enc, _stacked(_two_view_loss),
+                                     np.concatenate([x, xp]))
         ref_value, gz, gzp = _two_view_loss(enc.forward(x), enc.forward(xp))
         ref_grad = enc.backprop_params(x, gz) + enc.backprop_params(xp, gzp)
     else:
@@ -154,6 +168,127 @@ def test_param_gradient_stacked_equals_separate_backprops(arch, two_view):
         ref_grad = enc.backprop_params(x, gz)
     assert abs(value - ref_value) <= 1e-12
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12
+
+
+def _former_forward(enc, x):
+    """The codes and hidden layer as the encoder computed them before its
+    bias add moved in place."""
+    if enc.arch == "linear":
+        return matmul(x, enc.W1.T) + enc.b1, None
+    h = np.tanh(matmul(x, enc.W1.T) + enc.b1)
+    return matmul(h, enc.W2.T) + enc.b2, h
+
+
+def _former_perc_loss(enc, batch, spec):
+    """perc_loss as it was computed before the batch was stacked once: the
+    two views concatenated on every call, each view's code gradient
+    accumulated in its own array, and the two concatenated for backprop."""
+    n = batch.n
+    x2 = np.concatenate([batch.x.copy(), batch.x_plus.copy()])
+    z2, h2 = _former_forward(enc, x2)
+    z, zp = z2[:n], z2[n:]
+    gz, gzp, total = np.zeros_like(z), np.zeros_like(zp), []
+    if spec.beta_inv > 0:
+        diff = z - zp
+        v = float(np.sum(diff * diff)) / n
+        g = (2.0 / n) * diff
+        total.append(spec.beta_inv * v)
+        gz += spec.beta_inv * g
+        gzp += spec.beta_inv * -g
+    if spec.use_nce:
+        v, g, gp = infonce_value_grad(z, zp, spec.tau, spec.sim,
+                                      spec.symmetric_nce)
+        total.append(v)
+        gz += g
+        gzp += gp
+    if spec.w_var > 0:
+        v, g = variance_floor_value_grad(z, spec.gamma)
+        total.append(spec.w_var * v)
+        gz += spec.w_var * g
+    if spec.w_cov > 0:
+        v, g = covariance_penalty_value_grad(z)
+        total.append(spec.w_cov * v)
+        gz += spec.w_cov * g
+    return (float(sum(total)),
+            enc.backprop_params(x2, np.concatenate([gz, gzp]), h2))
+
+
+@pytest.mark.parametrize("arch", ["linear", "mlp1"])
+@pytest.mark.parametrize("spec", [
+    ObjectiveSpec(),
+    ObjectiveSpec(beta_inv=0.7, use_nce=True, tau=0.5, sim="cosine",
+                  gamma=1.0, w_var=10.0, w_cov=1.0),
+    ObjectiveSpec(beta_inv=0.0, use_nce=True, tau=0.5, sim="dot", gamma=1.0,
+                  w_var=1.0, w_cov=1.0),
+], ids=["invariance", "rotation_pel", "contrastive_diversity"])
+def test_stacked_param_gradient_keeps_the_former_bits(arch, spec):
+    world = make_bernoulli_uv_world() if arch == "linear" \
+        else make_rotation_world()
+    rng = Rng(31)
+    enc = make_encoder(arch, 2, 1 if arch == "linear" else 4, 32, rng,
+                       init_scale=4.0)
+    enc.add_to_params(0.1 * rng.normal(size=enc.n_params))   # nonzero biases
+    # 250 pairs: a scale by 2/n rounds, and its order shows in the bits
+    batch = sample_batch(world, 250, rng, with_labels=False)
+    for x in (batch.x, batch.pairs):
+        assert enc.forward(x).tobytes() == _former_forward(enc, x)[0].tobytes()
+    total, grad, _ = perc_loss(enc, batch, spec)
+    ref_total, ref_grad = _former_perc_loss(enc, batch, spec)
+    assert total == ref_total
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
+def test_batch_views_are_halves_of_one_stacked_array():
+    batch = sample_batch(make_rotation_world(), 16, Rng(4))
+    assert batch.pairs.shape == (32, 2)
+    assert np.shares_memory(batch.x, batch.pairs)
+    assert np.shares_memory(batch.x_plus, batch.pairs)
+    assert np.array_equal(batch.pairs[:16], batch.x)
+    assert np.array_equal(batch.pairs[16:], batch.x_plus)
+    x, xp = np.ones((3, 2)), np.zeros((3, 2))
+    built = Batch(x, xp, np.zeros(3))
+    assert np.array_equal(built.pairs, np.concatenate([x, xp]))
+    assert not np.shares_memory(built.x, x)
+
+
+@pytest.mark.parametrize("arch", ["linear", "mlp1"])
+def test_encoder_parameters_are_views_of_one_flat_buffer(arch):
+    enc = make_encoder(arch, 2, 3, 4, Rng(12))
+    arrays = [a for a in (enc.W1, enc.b1, enc.W2, enc.b2) if a is not None]
+    assert len({id(a.base) for a in arrays}) == 1
+    assert sum(a.size for a in arrays) == enc.n_params
+    # get_flat_params is a copy: writing into it leaves the encoder alone
+    flat = enc.get_flat_params()
+    flat += 1.0
+    assert not np.array_equal(enc.get_flat_params(), flat)
+    # a write through a view shows in the flat parameters, in W1's slot
+    enc.W1[0, 1] = 7.5
+    assert enc.get_flat_params()[1] == 7.5
+    assert enc.mutation_count == 0
+    before = enc.get_flat_params()
+    delta = Rng(13).normal(size=enc.n_params)
+    enc.add_to_params(delta)
+    assert enc.mutation_count == 1
+    assert enc.get_flat_params().tobytes() == (before + delta).tobytes()
+    enc.set_flat_params(before)
+    assert enc.mutation_count == 2
+    assert enc.get_flat_params().tobytes() == before.tobytes()
+    with pytest.raises(ContractViolation):
+        enc.add_to_params(delta[:-1])
+    with pytest.raises(ContractViolation):
+        enc.set_flat_params(before[:-1])
+    assert enc.mutation_count == 2
+    # a copy owns its own buffer
+    twin = enc.copy()
+    twin.add_to_params(delta)
+    assert enc.get_flat_params().tobytes() == before.tobytes()
+
+
+def test_encoder_does_not_alias_its_input_arrays():
+    W1 = np.eye(2)
+    enc = Encoder("linear", W1, np.zeros(2))
+    W1[0, 0] = 3.0
+    assert enc.W1[0, 0] == 1.0
 
 
 @pytest.mark.parametrize("arch", ["linear", "mlp1"])

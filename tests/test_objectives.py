@@ -87,8 +87,8 @@ def test_equivariance_with_identity_rho_equals_invariance(rng):
     class IdentityRho:
         kind = "test"
 
-        def rho(self, delta):
-            return np.eye(3)
+        def rho(self, delta):   # one matrix per delta, as rho_batch asks
+            return np.broadcast_to(np.eye(3), np.shape(delta) + (3, 3))
 
     enc = make_encoder("mlp1", 2, 3, 4, rng)
     x = rng.normal(size=(32, 2))
@@ -103,8 +103,8 @@ def test_equivariance_constant_encoder_negation_rho():
     enc = Encoder("linear", np.zeros((2, 2)), np.array([1.0, 0.0]))
 
     class NegRho:
-        def rho(self, delta):
-            return -np.eye(2)
+        def rho(self, delta):   # one matrix per delta, as rho_batch asks
+            return np.broadcast_to(-np.eye(2), np.shape(delta) + (2, 2))
 
     x = np.zeros((5, 2))
     batch = _pair_batch(x, x.copy(), deltas=np.full(5, np.pi))

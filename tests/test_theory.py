@@ -4,18 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pelab.errors import ContractViolation
-from pelab.numerics import Encoder, Rng, make_encoder
-from pelab.objectives import ObjectiveSpec
+from pelab.numerics import Encoder, Rng, make_encoder, matmul
+from pelab.objectives import (ObjectiveSpec, covariance_penalty_value_grad,
+                              infonce_value_grad, invariance_value_grad,
+                              variance_floor_value_grad)
 from pelab.probes import LinearHead
-from pelab.theory import (FactorThroughTFamily, _posterior_loss,
+from pelab.theory import (_PERCEPTION_SPEC, FactorThroughTFamily,
+                          _family_gradient, _posterior_loss,
                           assumption_audit, bayes_risk,
                           bayes_risk_through_encoder, empirical_bayes_risk,
                           factorization_residual,
                           monotone_scalar_link, orbit_merging_link,
-                          orthogonality_check, risk_of_cells, risk_table,
+                          orthogonality_check, over_invariance_check,
+                          risk_of_cells, risk_table,
                           run_scenario, task_risk, two_stage_check)
 from pelab.trainer import TrainConfig, train_head, train_perception
-from pelab.worlds import make_rotation_world
+from pelab.worlds import make_rotation_world, sample_batch
 
 from conftest import identity_encoder
 
@@ -259,6 +263,54 @@ def test_over_invariance_descent_doubles_risk():
     assert verdict.measured["f_start"] == 0.0
     assert abs(verdict.measured["f_end"] - 0.5) <= 1e-12
     assert verdict.measured["invariance_loss_final"] <= 1e-12
+
+
+def test_over_invariance_descent_keeps_the_former_bits(bernoulli_world):
+    # the former loop: the view pair and the two code gradients concatenated
+    # on every step, the parameters rebuilt by get + delta and set
+    steps, lr, n = 60, 0.5, 1000
+    verdict = over_invariance_check(bernoulli_world, Rng(3), steps=steps,
+                                    lr=lr, n=n)
+    enc = Encoder("linear", np.array([[1.0, 2.0]]), np.zeros(1))
+    batch = sample_batch(bernoulli_world, n, Rng(3), with_labels=False)
+    x2 = np.concatenate([batch.x.copy(), batch.x_plus.copy()])
+    losses = []
+    for _ in range(steps):
+        z2 = matmul(x2, enc.W1.T) + enc.b1
+        diff = z2[:n] - z2[n:]
+        losses.append(float(np.sum(diff * diff)) / n)
+        g = (2.0 / n) * diff
+        grad = enc.backprop_params(x2, np.concatenate([g, -g]))
+        enc.set_flat_params(enc.get_flat_params() + -lr * grad)
+    assert verdict.measured["invariance_loss_final"] == losses[-1]
+    assert verdict.diagnostics["invariance_loss_initial"] == losses[0]
+    assert losses[-1] < losses[0]
+
+
+def test_family_gradients_keep_the_former_bits(rotation_world):
+    # the former code losses of the orthogonality check, on the former
+    # concatenating path
+    def perception(z, zp):
+        v1, g1, g1p = infonce_value_grad(z, zp, tau=0.5, sim="dot")
+        v2, g2 = variance_floor_value_grad(z, 1.0)
+        v3, g3 = covariance_penalty_value_grad(z)
+        return v1 + v2 + v3, g1 + g2 + g3, g1p
+
+    cases = [(inner, spec, code_loss)
+             for inner in (monotone_scalar_link(),
+                           make_encoder("mlp1", 1, 2, 4, Rng(6)))
+             for spec, code_loss in ((ObjectiveSpec(), invariance_value_grad),
+                                     (_PERCEPTION_SPEC, perception))]
+    for inner, spec, code_loss in cases:
+        family = FactorThroughTFamily(rotation_world, inner)
+        grad = _family_gradient(family, rotation_world, Rng(5), spec)
+        batch = sample_batch(rotation_world, 512, Rng(5), with_labels=False)
+        t2 = np.concatenate([family.t_columns(batch.x),
+                             family.t_columns(batch.x_plus)])
+        z2, h2 = family.inner._forward_hidden(t2)
+        _, gz, gzp = code_loss(z2[:512], z2[512:])
+        ref = family.inner.backprop_params(t2, np.concatenate([gz, gzp]), h2)
+        assert grad.tobytes() == ref.tobytes()
 
 
 def test_orthogonality_check_custom_family_on_discrete_world():

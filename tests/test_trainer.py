@@ -3,9 +3,9 @@ import pytest
 
 from pelab.errors import ConfigurationError, ContractViolation, DivergenceError
 from pelab.numerics import Encoder, Rng, make_encoder
-from pelab.objectives import ObjectiveSpec
+from pelab.objectives import ObjectiveSpec, perc_loss
 from pelab.trainer import TrainConfig, train_head, train_perception
-from pelab.worlds import make_rotation_world
+from pelab.worlds import make_rotation_world, sample_batch
 
 from conftest import identity_encoder
 
@@ -60,6 +60,47 @@ def test_loss_component_accounting(rotation_world):
     _, log = train_perception(rotation_world, enc0, cfg)
     for comps, total in zip(log.components, log.totals):
         assert abs(sum(comps.values()) - total) <= 1e-9
+
+
+def _former_update(cfg, size):
+    """The optimizer steps as the trainer computed them before they moved in
+    place: each returns the new parameter vector from the old one."""
+    if cfg.optimizer == "sgd":
+        return lambda params, grad, t: params - cfg.lr * grad
+    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    state = {"m": np.zeros(size), "v": np.zeros(size)}
+
+    def adam(params, grad, t):
+        state["m"] = b1 * state["m"] + (1 - b1) * grad
+        state["v"] = b2 * state["v"] + (1 - b2) * grad * grad
+        m_hat = state["m"] / (1 - b1 ** t)
+        v_hat = state["v"] / (1 - b2 ** t)
+        return params - cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
+    return adam
+
+
+@pytest.mark.parametrize("optimizer,lr", [("sgd", 2e-3), ("adam", 3e-3)])
+def test_in_place_optimizer_steps_keep_the_former_bits(rotation_world,
+                                                       optimizer, lr):
+    cfg = TrainConfig(steps=50, batch_size=32, lr=lr, optimizer=optimizer,
+                      seed=11, objective=_spec(), sigma_aug=0.8)
+    enc0 = make_encoder("mlp1", 2, 3, 8, Rng(11), init_scale=4.0)
+    enc, log = train_perception(rotation_world, enc0, cfg)
+
+    (data_rng,) = Rng(cfg.seed).split(1)
+    ref = enc0.copy()
+    update = _former_update(cfg, ref.n_params)
+    totals = []
+    for t in range(1, cfg.steps + 1):
+        batch = sample_batch(rotation_world, cfg.batch_size, data_rng,
+                             sampler=("gaussian", cfg.sigma_aug),
+                             with_labels=False)
+        total, grad, _ = perc_loss(ref, batch, cfg.objective)
+        totals.append(total)
+        ref.set_flat_params(update(ref.get_flat_params(), grad, t))
+    assert log.totals == totals
+    assert enc.get_flat_params().tobytes() == ref.get_flat_params().tobytes()
+    assert enc.mutation_count == cfg.steps
 
 
 def test_training_reduces_invariance_loss_10x(rotation_world):

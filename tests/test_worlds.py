@@ -154,6 +154,33 @@ def test_rho_batch_rejects_wrong_code_dim(rotation_world):
         rho_batch(rotation_world.transforms, np.array([0.1]), d_z=3)
 
 
+def _per_pair_rho(kind, delta):
+    """The former one-pair rho of each family, kept as the oracle."""
+    if kind == "rotation2d":
+        c, s = np.cos(float(delta)), np.sin(float(delta))
+        return np.array([[c, -s], [s, c]])
+    return -np.eye(2) if delta >= 0.5 else np.eye(2)
+
+
+@pytest.mark.parametrize("world_fixture", ["rotation_world", "six_nine_world"])
+def test_rho_batch_equals_the_per_pair_stack(world_fixture, request):
+    fam = request.getfixturevalue(world_fixture).transforms
+    rng = Rng(14)
+    draws = [fam.sample_delta(rng, 4096),
+             fam.sample_delta(rng, 4096, ("gaussian", 0.8))
+             if fam.magnitude_parameterized else fam.sample_delta(rng, 7),
+             np.array([0.0, -0.0, 0.5, 1.0, np.pi, -np.pi / 2, 1e6])]
+    for deltas in draws:
+        mats = rho_batch(fam, deltas, 2)
+        ref = np.stack([_per_pair_rho(fam.kind, d) for d in deltas])
+        assert mats.tobytes() == ref.tobytes()
+        for d, m in zip(deltas[:20], mats):
+            assert fam.rho(d).tobytes() == m.tobytes()
+    # one delta, given as a scalar, is one matrix
+    assert fam.rho(0.25).shape == (2, 2)
+    assert rho_batch(fam, 0.25, 2).shape == (1, 2, 2)
+
+
 def test_discrete_radius_world_threshold():
     world = make_rotation_world(radius_values=(0.6, 0.9, 1.1, 1.4))
     law = world.t_atoms()
