@@ -99,13 +99,11 @@ def _verdicts_pass(report: MetricReport) -> bool:
 def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     seed = cfg["seed"]
     chash = cfg.config_hash()
-    world = cfg.build_world()
+    world = cfg.world
     root = Rng(seed)
     init_rng, metrics_rng, theory_rng, aux_rng = root.split(4)
 
-    enc = make_encoder(cfg["encoder.arch"], world.d_x, cfg["encoder.d_z"],
-                       cfg["encoder.d_hidden"], init_rng,
-                       cfg["encoder.init_scale"])
+    enc = cfg.section("encoder", make_encoder, d_x=world.d_x, rng=init_rng)
     opts = cfg.metrics
 
     auc_before = None
@@ -262,9 +260,8 @@ def cmd_verify_theory(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     scenario = cfg["theory.scenario"]
     if not scenario:
         raise ConfigurationError("verify-theory requires theory.scenario")
-    verdict, expected_pass, ok = theory.run_scenario(
-        scenario, cfg["seed"], n=cfg["theory.n"],
-        resolution=cfg["theory.resolution"])
+    verdict, expected_pass, ok = cfg.section("theory", theory.run_scenario,
+                                             seed=cfg["seed"])
     report = MetricReport(config_hash=cfg.config_hash(), seed=cfg["seed"])
     report.theory[scenario] = {
         "verdict": verdict.to_dict(),

@@ -6,9 +6,11 @@ the fully resolved configuration and stamps its hash into all outputs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
+import math
 import operator
-from dataclasses import fields
 
 import numpy as np
 
@@ -18,8 +20,7 @@ from .numerics import ARCH_LINEAR, ARCH_MLP1
 from .objectives import ObjectiveSpec
 from .theory import SCENARIOS
 from .trainer import TrainConfig
-from .worlds import (WORLD_BUILDERS, make_bernoulli_uv_world, make_rotation_world,
-                     make_six_nine_world)
+from .worlds import WORLD_BUILDERS
 
 
 def _parse_bool(text: str) -> bool:
@@ -125,6 +126,7 @@ _RULES = (
     ("world.center_y", "finite", None),
     ("world.sigma", "finite", None),
     ("encoder.arch", "one of", (ARCH_LINEAR, ARCH_MLP1)),
+    ("encoder.d_hidden", ">=", 1),
     ("encoder.d_z", ">=", 1),
     ("encoder.init_scale", ">=", 0),
     ("metrics.curve_points", ">=", 1),
@@ -137,27 +139,39 @@ _RULES = (
     ("theory.resolution", ">=", 2),
 )
 _RELATIONS = {">=": operator.ge, ">": operator.gt, "<=": operator.le,
-              "finite": lambda v, _: bool(np.isfinite(v)),
+              "finite": lambda v, _: math.isfinite(v),
               "one of": lambda v, names: v in names}
+
+
+def _items(value) -> tuple:   # a list value's items, or a scalar alone
+    return value if isinstance(value, tuple) else (value,)
+
+
+@functools.cache
+def _parameter_names(build) -> tuple:
+    """The parameter names of a builder (of its ``__init__``, for a class),
+    read once per process: in-process callers parse many configs."""
+    return tuple(inspect.signature(build).parameters)
 
 
 class ExperimentConfig:
     """Typed view over a parsed key=value file with schema defaults; ``where``
     maps each key set in it to its ``<file>:<line>`` or flag.  Construction
-    checks every rule and builds the objective, train and metrics sections."""
+    checks every rule, then builds the world and the other sections."""
 
     def __init__(self, values: dict, where: dict, source: str):
         self.values, self.where, self.source = values, where, source
         for key, relation, bound in _RULES:
             named = isinstance(bound, str)
             limit = self[bound] if named else bound
-            if not all(_RELATIONS[relation](v, b) for v in np.atleast_1d(self[key])
-                       for b in (np.atleast_1d(limit) if named else (limit,))):
+            if not all(_RELATIONS[relation](v, b) for v in _items(self[key])
+                       for b in (_items(limit) if named else (limit,))):
                 at = where.get(key) or where.get(bound, source)
                 shown = f"{bound} = {limit}" if named else bound
                 rule = relation if bound is None else f"{relation} {shown}"
                 raise ConfigurationError(f"{at}: {key} must be {rule}, "
                                          f"got {self[key]!r}")
+        self.world = self.section("world", WORLD_BUILDERS[self["world.kind"]])
         if self["objective.w_eq"] > 0:
             self._check_equivariance_target()
         self.objective = self.section("objective", ObjectiveSpec)
@@ -175,7 +189,7 @@ class ExperimentConfig:
     def _check_equivariance_target(self):
         """The equivariance term maps codes by the world's rho matrices, so
         the world's transform family must declare rho, of size d_z."""
-        family = self.build_world().transforms
+        family = self.world.transforms
         if family.rho is None:
             need = (f"a transform family with rho; world.kind = "
                     f"{self['world.kind']} has none")
@@ -188,13 +202,13 @@ class ExperimentConfig:
             f"{self.where.get('objective.w_eq', self.source)}: "
             f"objective.w_eq > 0 needs {need}")
 
-    def section(self, prefix: str, cls, **extra):
-        """``cls`` built from the ``prefix.*`` keys named like its fields, and
-        ``extra``; an error, which opens with its field, gets that key's line."""
-        kwargs = {f.name: self[f"{prefix}.{f.name}"] for f in fields(cls)
-                  if f"{prefix}.{f.name}" in SCHEMA}
+    def section(self, prefix: str, build, **extra):
+        """``build`` called with the ``prefix.*`` keys named like its parameters
+        and ``extra``; an error opening with a parameter gets that key's line."""
+        kwargs = {name: self[f"{prefix}.{name}"] for name in
+                  _parameter_names(build) if f"{prefix}.{name}" in SCHEMA}
         try:
-            return cls(**{**kwargs, **extra})
+            return build(**{**kwargs, **extra})
         except ConfigurationError as exc:
             key = f"{prefix}.{str(exc).split(' ', 1)[0]}"
             raise ConfigurationError(
@@ -220,21 +234,6 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
-
-    # -- factories ----------------------------------------------------------
-    def build_world(self):
-        kind = self["world.kind"]
-        if kind == "rotation":
-            radii = self["world.radius_values"]
-            return make_rotation_world(
-                r_min=self["world.r_min"], r_max=self["world.r_max"],
-                radius_values=radii if radii else None)
-        if kind == "bernoulli_uv":
-            return make_bernoulli_uv_world()
-        # the rules admit only the kinds in WORLD_BUILDERS: six_nine is left
-        return make_six_nine_world(
-            center=(self["world.center_x"], self["world.center_y"]),
-            sigma=self["world.sigma"])
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:

@@ -253,13 +253,20 @@ def median_bandwidth_sq(pooled: np.ndarray) -> float:
     return med / 2.0 if med > 0 else 1.0
 
 
+_SQUARES_OVERFLOW = "the codes' squared distances overflow float64"
+
+
 def _fisher_ratio(a: np.ndarray, b: np.ndarray) -> float:
     """Squared mean gap over summed within-group variance (inf when the
-    groups have no spread)."""
+    groups have no spread).  Finite codes whose squared deviations overflow
+    float64 raise DegenerateError, and the overflow prints no warning."""
     if a.shape[0] < 20 or b.shape[0] < 20:
         raise DegenerateError("separability requires >= 20 samples per group")
-    within = float(np.sum(a.var(axis=0, ddof=1)) + np.sum(b.var(axis=0, ddof=1)))
-    gap = float(np.sum((a.mean(axis=0) - b.mean(axis=0)) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        within = float(np.sum(a.var(axis=0, ddof=1)) + np.sum(b.var(axis=0, ddof=1)))
+        gap = float(np.sum((a.mean(axis=0) - b.mean(axis=0)) ** 2))
+    if not (np.isfinite(within) and np.isfinite(gap)):
+        raise DegenerateError(_SQUARES_OVERFLOW)
     return gap / within if within > 0 else float("inf")
 
 
@@ -300,16 +307,20 @@ def separability(zbatch_a, zbatch_b) -> dict:
 
     The kernel sums are accumulated in blocks of rows, so memory stays
     O(block x n): about 4 MB for the 2 048-row groups ``_cap_group`` allows,
-    against 32 MB for each full kernel matrix."""
+    against 32 MB for each full kernel matrix.  Codes whose squared
+    distances overflow float64 raise DegenerateError, silently."""
     a, b = as_samples(zbatch_a), as_samples(zbatch_b)
     m, n = a.shape[0], b.shape[0]
     fisher = _fisher_ratio(a, b)
 
-    h2 = median_bandwidth_sq(np.vstack([a, b]))
-    inv_2h2 = 1.0 / (2.0 * h2)
-    mmd2 = (_kernel_sum(a, a, inv_2h2, True) / (m * (m - 1))
-            + _kernel_sum(b, b, inv_2h2, True) / (n * (n - 1))
-            - 2.0 * _kernel_sum(a, b, inv_2h2, False) / (m * n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h2 = median_bandwidth_sq(np.vstack([a, b]))
+        inv_2h2 = 1.0 / (2.0 * h2)
+        mmd2 = (_kernel_sum(a, a, inv_2h2, True) / (m * (m - 1))
+                + _kernel_sum(b, b, inv_2h2, True) / (n * (n - 1))
+                - 2.0 * _kernel_sum(a, b, inv_2h2, False) / (m * n))
+    if not (np.isfinite(h2) and np.isfinite(mmd2)):
+        raise DegenerateError(_SQUARES_OVERFLOW)
     return {"fisher_ratio": float(fisher), "mmd2": float(mmd2),
             "bandwidth_sq": h2}
 
@@ -317,8 +328,9 @@ def separability(zbatch_a, zbatch_b) -> dict:
 def radial_fisher(zbatch_a, zbatch_b) -> float:
     """Fisher ratio on code norms only (interpretation of the 'radial'
     separability diagnostic; flagged as such in reports)."""
-    na = np.linalg.norm(as_samples(zbatch_a), axis=1)
-    nb = np.linalg.norm(as_samples(zbatch_b), axis=1)
+    with np.errstate(over="ignore"):   # an overflowing norm fails below
+        na = np.linalg.norm(as_samples(zbatch_a), axis=1)
+        nb = np.linalg.norm(as_samples(zbatch_b), axis=1)
     return _fisher_ratio(na[:, None], nb[:, None])
 
 

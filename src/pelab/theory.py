@@ -503,7 +503,7 @@ SCENARIOS = ("orthogonality_rotation", "over_invariance_bernoulli",
 _MERGE_RADII = (0.6, 0.9, 1.1, 1.4)
 
 
-def run_scenario(name: str, seed: int, n: int = 4096, resolution: int = 64):
+def run_scenario(scenario: str, seed: int, n: int = 4096, resolution: int = 64):
     """Drive one theory scenario end to end.
 
     Returns (verdict, expected_pass, ok): ``ok`` means the observed outcome
@@ -511,28 +511,28 @@ def run_scenario(name: str, seed: int, n: int = 4096, resolution: int = 64):
     both violation constructions must fail with a material risk increase.
     """
     rng = Rng(seed)
-    if name == "orthogonality_rotation":
+    if scenario == "orthogonality_rotation":
         world = make_rotation_world()
         family = FactorThroughTFamily(world, monotone_scalar_link())
         verdict = orthogonality_check(family, world, rng, n=n,
-                                      resolution=resolution, name=name)
+                                      resolution=resolution, name=scenario)
         expected_pass = True
-    elif name == "merged_orbits":
+    elif scenario == "merged_orbits":
         world = make_rotation_world(radius_values=_MERGE_RADII)
         family = FactorThroughTFamily(world, monotone_scalar_link(hidden=2))
         target = orbit_merging_link().get_flat_params()
         direction = target - family.get_flat_params()
         span = float(np.linalg.norm(direction))
         verdict = orthogonality_check(
-            family, world, rng, n=n, resolution=resolution, name=name,
+            family, world, rng, n=n, resolution=resolution, name=scenario,
             extra_directions=[("orbit_merge", direction, (0.5 * span, span))])
         expected_pass = False
-    elif name == "over_invariance_bernoulli":
+    elif scenario == "over_invariance_bernoulli":
         world = make_bernoulli_uv_world()
-        verdict = over_invariance_check(world, rng, name=name)
+        verdict = over_invariance_check(world, rng, name=scenario)
         expected_pass = False
     else:
-        raise ContractViolation(f"unknown theory scenario {name!r}; "
+        raise ContractViolation(f"unknown theory scenario {scenario!r}; "
                                 f"choose from {SCENARIOS}")
     if expected_pass:
         ok = verdict.passed

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation, NotApplicableError
+from .errors import ConfigurationError, ContractViolation, NotApplicableError
 from .numerics import Rng
 
 
@@ -199,21 +199,22 @@ def sample_batch(world: World, n: int, rng: Rng, sampler=None,
 # ---------------------------------------------------------------------------
 
 def make_rotation_world(r_min: float = 0.5, r_max: float = 1.5,
-                        radius_values=None) -> World:
+                        radius_values=()) -> World:
     """Points x = r (cos theta, sin theta) with rotations as the group.
 
     The radius r is the orbit statistic; the applied angle is the nuisance.
-    Radii are uniform on [r_min, r_max] by default, or uniform over the given
-    discrete ``radius_values`` (which makes the orbit statistic finitely
-    supported and all Bayes-risk oracles exact).
+    Radii are uniform on [r_min, r_max] when ``radius_values`` is empty, or
+    uniform over those discrete values (which makes the orbit statistic
+    finitely supported and all Bayes-risk oracles exact).
     The label 1[r > median radius] depends on the orbit only, so the
     group-invariance flag is true.
     """
     family = RotationFamily()
-    if radius_values is not None:
+    if len(radius_values):
         radii = np.sort(np.asarray(radius_values, dtype=np.float64))
         if radii.size < 2:
-            raise ContractViolation("need at least two radius values")
+            raise ConfigurationError("radius_values must hold at least two "
+                                     f"values, got {tuple(radius_values)!r}")
         threshold = float(np.median(radii))
 
         def sample_r(rng, n):
@@ -318,11 +319,12 @@ def make_bernoulli_uv_world() -> World:
     return world
 
 
-def make_six_nine_world(center=(3.0, 0.0), sigma: float = 0.5) -> World:
+def make_six_nine_world(center_x: float = 3.0, center_y: float = 0.0,
+                        sigma: float = 0.5) -> World:
     """Two Gaussian clusters at +c (class 0) and -c (class 1); the group is
     the 180-degree rotation, which maps each cluster onto the other, so the
-    label is not invariant."""
-    c = np.asarray(center, dtype=np.float64)
+    label is not invariant.  c = (center_x, center_y)."""
+    c = np.array([center_x, center_y], dtype=np.float64)
     family = NegationFamily()
 
     def sample_x(rng, n):

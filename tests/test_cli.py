@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import sys
@@ -13,7 +14,7 @@ from pelab.config import SCHEMA, parse_config_text, schema_help
 from pelab.errors import ConfigurationError, ContractViolation
 from pelab.metrics import MetricInputs, certify
 from pelab.numerics import Rng, make_encoder
-from pelab.worlds import make_bernoulli_uv_world, sample_batch
+from pelab.worlds import WORLD_BUILDERS, make_bernoulli_uv_world, sample_batch
 
 from conftest import run_fresh_python
 
@@ -335,11 +336,11 @@ def test_certify_overflowing_second_moments_name_the_overflow(tmp_path,
     # would fail the command
     rng = np.random.default_rng(0)
     z = rng.normal(size=(300, 3)) * 1e200
-    v, y = rng.integers(0, 2, size=300), rng.integers(0, 2, size=300)
+    v, y, t = (rng.integers(0, 2, size=300) for _ in range(3))
     csv = tmp_path / "huge.csv"
-    csv.write_text("z_0,z_1,z_2,v,y\n" + "".join(
-        f"{float(a)!r},{float(b)!r},{float(c)!r},{d},{e}\n"
-        for (a, b, c), d, e in zip(z, v, y)))
+    csv.write_text("z_0,z_1,z_2,v,t,y\n" + "".join(
+        f"{float(a)!r},{float(b)!r},{float(c)!r},{d},{e},{f}\n"
+        for (a, b, c), d, e, f in zip(z, v, t, y)))
     out = tmp_path / "cert"
     assert run_cli("certify", str(csv), "--out", str(out), "--quiet") == 0
     assert capsys.readouterr().err == ""
@@ -351,6 +352,11 @@ def test_certify_overflowing_second_moments_name_the_overflow(tmp_path,
     # covariance overflows too
     assert m["normalized_mi"]["status"] == "degenerate"
     assert "covariance is not finite" in m["normalized_mi"]["detail"]["reason"]
+    # so do the squared distances between the two orbit groups' codes
+    for name in ("fisher_ratio", "mmd2", "radial_fisher"):
+        assert m[name]["status"] == "degenerate", name
+        assert m[name]["detail"]["reason"] == \
+            "the codes' squared distances overflow float64"
 
 
 def test_certify_csv_matches_registry_on_world_arrays(tmp_path):
@@ -593,6 +599,9 @@ def test_train_setting_out_of_range_exits_2(tmp_path, capsys, line, message):
     (["theory.scenario = bogus"], "theory.scenario must be one of ('', "
      "'orthogonality_rotation', 'over_invariance_bernoulli', "
      "'merged_orbits'), got 'bogus'"),
+    (["world.radius_values = 1.0"],
+     "world.radius_values must hold at least two values, got (1.0,)"),
+    (["encoder.d_hidden = 0"], "encoder.d_hidden must be >= 1, got 0"),
 ], ids=["r_min_above_r_max", "r_min_negative", "r_min_nan",
         "r_max_below_r_min", "init_scale_negative", "sigma_zero",
         "sigma_negative", "eval_every_negative", "pool_below_budgets",
@@ -600,11 +609,13 @@ def test_train_setting_out_of_range_exits_2(tmp_path, capsys, line, message):
         "tau_zero", "w_var_negative", "sim_unknown", "r_min_infinite",
         "r_max_infinite", "radius_values_nan", "center_x_nan",
         "center_y_infinite", "sigma_infinite", "world_kind_unknown",
-        "encoder_arch_unknown", "theory_scenario_unknown"])
+        "encoder_arch_unknown", "theory_scenario_unknown",
+        "radius_values_one", "d_hidden_zero"])
 def test_setting_rejected_before_any_work(tmp_path, capsys, lines, message):
     # each config would train for 50 steps and snapshot every 10; a
     # rejected one exits 2 naming the line of its last key, and leaves no
-    # trace of training or certification behind
+    # trace of training or certification behind.  Every rule runs when the
+    # config is read, so verify-theory rejects it the same way
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seed = 3\ntrain.steps = 50\ntrain.eval_every = 10\n"
                    + "".join(f"{line}\n" for line in lines))
@@ -614,6 +625,24 @@ def test_setting_rejected_before_any_work(tmp_path, capsys, lines, message):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert f"bad.cfg:{3 + len(lines)}: {message}" in err, err
     assert not out.exists()
+    assert run_cli("verify-theory", "--config", str(cfg),
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+def test_builder_parameters_are_config_keys():
+    # a section passes each key to the parameter of the same name, so a
+    # parameter named unlike its key would silently keep its default
+    for kind, build in WORLD_BUILDERS.items():
+        for name in inspect.signature(build).parameters:
+            assert f"world.{name}" in SCHEMA, (kind, name)
+    for name in inspect.signature(make_encoder).parameters:
+        if name not in ("d_x", "rng"):
+            assert f"encoder.{name}" in SCHEMA, name
+    cfg = parse_config_text("world.kind = six_nine\nworld.center_x = 1\n"
+                            "world.center_y = -2\n")
+    assert tuple(cfg.world.center) == (1, -2)
 
 
 def test_certify_duplicate_column_exits_2(tmp_path, capsys):

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pelab.errors import ContractViolation, NotApplicableError
+from pelab.errors import (ContractViolation, DegenerateError,
+                          NotApplicableError)
 from pelab.metrics import (Curve, MetricInputs, MetricReport,
                            MetricSuiteOptions, certify, certify_encoder,
                            disentanglement_nmi, fisher_trace,
@@ -468,6 +469,19 @@ def test_separability_degenerate_fisher_is_infinite():
 def test_separability_requires_group_size():
     with pytest.raises(ContractViolation):
         separability(np.zeros((5, 2)), np.zeros((30, 2)))
+
+
+def test_separability_overflowing_squared_distances_degenerate():
+    # codes near 1e154 in three dimensions: the Fisher ratio is finite, but
+    # the squared norms behind the kernel distances and the radial norms
+    # overflow float64.  The suite turns RuntimeWarnings into errors, so the
+    # overflow must also pass silently
+    rng = Rng(35)
+    a = 1e154 + rng.normal(size=(40, 3)) * 1e150
+    b = a + 1e151
+    for metric in (separability, radial_fisher):
+        with pytest.raises(DegenerateError, match="overflow float64"):
+            metric(a, b)
 
 
 def test_radial_fisher_separates_norm_groups():
