@@ -31,13 +31,13 @@ from .worlds import WORLD_BUILDERS
 _BUNDLED = Path(__file__).parent / "configs"
 
 
-def _resolve_config(spec: str) -> ExperimentConfig:
+def _resolve_config(spec: str, seed=None) -> ExperimentConfig:
     path = Path(spec)
     if path.is_file():
-        return load_config(path)
+        return load_config(path, seed)
     bundled = _BUNDLED / f"{spec}.cfg"
     if bundled.exists():
-        return load_config(bundled)
+        return load_config(bundled, seed)
     raise ConfigurationError(
         f"config {spec!r} is neither a file nor a bundled name "
         f"(bundled: {', '.join(sorted(p.stem for p in _BUNDLED.glob('*.cfg')))})")
@@ -339,11 +339,9 @@ def main(argv=None) -> int:
             return 0
 
         if getattr(args, "config", None) is not None:
-            cfg = _resolve_config(args.config)
+            cfg = _resolve_config(args.config, args.seed)
         else:
-            cfg = parse_config_text("", source="<defaults>")
-        if args.seed is not None:
-            cfg = cfg.with_override("seed", args.seed, where="--seed")
+            cfg = parse_config_text("", source="<defaults>", seed=args.seed)
         out = Path(args.out)
         _check_out(out)
 

@@ -129,8 +129,11 @@ _RULES = (
     ("encoder.d_hidden", ">=", 1),
     ("encoder.d_z", ">=", 1),
     ("encoder.init_scale", ">=", 0),
+    ("encoder.init_scale", "finite", None),
+    ("metrics.n", ">=", 1),
     ("metrics.curve_points", ">=", 1),
     ("metrics.curve_alpha_max", ">", 0),
+    ("metrics.curve_alpha_max", "finite", None),
     ("metrics.mi_bins", ">=", 2),
     ("metrics.probe_budgets", ">=", 2),
     ("metrics.probe_pool", ">=", "metrics.probe_budgets"),
@@ -214,11 +217,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"{self.where.get(key, self.source)}: {prefix}.{exc}") from None
 
-    def with_override(self, key: str, value,
-                      where: str = "override") -> "ExperimentConfig":
-        return ExperimentConfig({**self.values, key: value},
-                                {**self.where, key: where}, self.source)
-
     def canonical_text(self) -> str:
         lines = []
         for key in sorted(SCHEMA):
@@ -236,7 +234,10 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
 
-def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
+def parse_config_text(text: str, source: str = "<config>",
+                      seed=None) -> ExperimentConfig:
+    """The config in ``text``; a ``seed`` (the ``--seed`` flag) replaces the
+    file's."""
     values, where = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -257,16 +258,18 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
                 f"{source}:{lineno}: bad {typ} value for {key}: {exc}") from None
         values[key] = parsed
         where[key] = f"{source}:{lineno}"
+    if seed is not None:
+        values["seed"], where["seed"] = seed, "--seed"
     return ExperimentConfig(values, where, source)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, seed=None) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"{path}: cannot read config: {exc}") from None
-    return parse_config_text(text, source=str(path))
+    return parse_config_text(text, source=str(path), seed=seed)
 
 
 def schema_help() -> str:

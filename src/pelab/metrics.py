@@ -26,7 +26,7 @@ from .errors import ContractViolation, DegenerateError, NotApplicableError
 from .numerics import Encoder, Rng, as_samples, matmul
 from .objectives import covariance_penalty_value_grad, variance_floor_value_grad
 from .probes import fit_linear_probe, evaluate_probe, probe_split_evaluate
-from .worlds import World, magnitude_transform, sample_batch
+from .worlds import World, sample_batch
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +66,14 @@ def invariance_curve(enc: Encoder, world: World, grid, n: int, rng: Rng) -> Curv
     grid = np.asarray(grid, dtype=np.float64)
     if grid[0] != 0.0:
         raise ContractViolation("curve grid must include alpha = 0 first")
+    if not world.transforms.magnitude_parameterized:
+        raise NotApplicableError(
+            f"world {world.name!r} has no magnitude-parameterized transforms")
     x = world.sample_x(rng, n)
     z = enc.forward(x)
     values = np.empty(grid.size)
     for i, alpha in enumerate(grid):
-        delta = magnitude_transform(world, alpha)
-        xa = world.transforms.apply(np.full(n, delta), x)
+        xa = world.transforms.apply(np.full(n, alpha), x)
         diff = z - enc.forward(xa)
         values[i] = float(np.mean(np.sum(diff * diff, axis=1)))
     return Curve(grid, values)

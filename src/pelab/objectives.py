@@ -200,9 +200,6 @@ def perc_loss(enc, batch, spec: ObjectiveSpec, rho_source=None):
             terms.append(("cov", spec.w_cov,
                           *covariance_penalty_value_grad(z), None))
         if spec.w_eq > 0:
-            if rho_source is None or rho_source.rho is None:
-                raise ConfigurationError(
-                    "w_eq > 0 requires a transform family with rho")
             mats = rho_batch(rho_source, batch.deltas, z.shape[1])
             terms.append(("eq", spec.w_eq,
                           *equivariance_value_grad(z, zp, mats)))

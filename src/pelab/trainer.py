@@ -137,13 +137,10 @@ def train_perception(world: World, enc_init: Encoder, cfg: TrainConfig,
     (data_rng,) = rng.split(1)
     opt = _make_optimizer(cfg, enc.n_params)
     log = TrainLog()
-    sampler = None
-    if world.transforms.magnitude_parameterized:
-        sampler = ("gaussian", cfg.sigma_aug)
 
     for step in range(1, cfg.steps + 1):
         batch = sample_batch(world, cfg.batch_size, data_rng,
-                             sampler=sampler, with_labels=False)
+                             sigma=cfg.sigma_aug, with_labels=False)
         total, grad, comps = perc_loss(enc, batch, cfg.objective,
                                        rho_source=world.transforms)
         if not np.isfinite(total) or not np.all(np.isfinite(grad)):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation, NotApplicableError
+from .errors import ConfigurationError, ContractViolation
 from .numerics import Rng
 
 
@@ -35,20 +35,17 @@ from .numerics import Rng
 class RotationFamily:
     """Planar rotations T_alpha, parameterized by angle.
 
-    The default measure is uniform on [0, 2*pi); a Gaussian sampler
-    (mean 0, configurable sigma) is available for training views.
+    Angles are uniform on [0, 2*pi) by default, and N(0, sigma) when a
+    view spread ``sigma`` is given (the trainer's views).
     """
 
     kind = "rotation2d"
     smooth = True                  # differentiable in delta at the identity
     magnitude_parameterized = True
 
-    def sample_delta(self, rng: Rng, n: int, sampler=None) -> np.ndarray:
-        if sampler is None or sampler == "uniform":
+    def sample_delta(self, rng: Rng, n: int, sigma=None) -> np.ndarray:
+        if sigma is None:
             return rng.uniform(0.0, 2.0 * np.pi, n)
-        name, sigma = sampler
-        if name != "gaussian":
-            raise ContractViolation(f"unknown delta sampler {sampler!r}")
         return rng.normal(0.0, sigma, n)
 
     def apply(self, deltas, x: np.ndarray) -> np.ndarray:
@@ -67,14 +64,15 @@ class RotationFamily:
 
 
 class FlipVFamily:
-    """G = {id, tau} with tau.(u, v) = (u, 1 - v); delta in {0, 1} uniform."""
+    """G = {id, tau} with tau.(u, v) = (u, 1 - v); delta in {0, 1} uniform,
+    whatever the view spread ``sigma``."""
 
     kind = "flip_v"
     smooth = False
     magnitude_parameterized = False
     rho = None
 
-    def sample_delta(self, rng: Rng, n: int, sampler=None) -> np.ndarray:
+    def sample_delta(self, rng: Rng, n: int, sigma=None) -> np.ndarray:
         return rng.integers(0, 2, size=n).astype(np.float64)
 
     def apply(self, deltas, x: np.ndarray) -> np.ndarray:
@@ -85,13 +83,14 @@ class FlipVFamily:
 
 
 class NegationFamily:
-    """G = {id, 180-degree rotation}; delta in {0, 1} uniform, T_1 x = -x."""
+    """G = {id, 180-degree rotation}; delta in {0, 1} uniform, whatever the
+    view spread ``sigma``; T_1 x = -x."""
 
     kind = "discrete_set"
     smooth = False
     magnitude_parameterized = False
 
-    def sample_delta(self, rng: Rng, n: int, sampler=None) -> np.ndarray:
+    def sample_delta(self, rng: Rng, n: int, sigma=None) -> np.ndarray:
         return rng.integers(0, 2, size=n).astype(np.float64)
 
     def apply(self, deltas, x: np.ndarray) -> np.ndarray:
@@ -109,8 +108,9 @@ def rho_batch(family, deltas, d_z: int) -> np.ndarray:
     """The (n, d_z, d_z) stack of rho(delta_i), validating the declared code
     dimension.  A family's ``rho`` maps an array of n deltas to that stack
     in one call (and one delta to one matrix)."""
-    if family.rho is None:
-        raise ContractViolation(f"family {family.kind} declares no rho")
+    if getattr(family, "rho", None) is None:
+        raise ConfigurationError(
+            "w_eq > 0 requires a transform family with rho")
     mats = family.rho(np.atleast_1d(np.asarray(deltas, dtype=np.float64)))
     if mats.shape[1] != d_z or mats.shape[2] != d_z:
         raise ContractViolation(
@@ -174,17 +174,14 @@ class Batch:
         return self.x.shape[0]
 
 
-def sample_batch(world: World, n: int, rng: Rng, sampler=None,
+def sample_batch(world: World, n: int, rng: Rng, sigma=None,
                  with_labels: bool = True) -> Batch:
-    """Draw n i.i.d. inputs plus one transformed view each.
-
-    ``sampler`` overrides the family's default measure over delta (the
-    trainer passes ("gaussian", sigma_aug) for view sampling).
-    """
+    """Draw n i.i.d. inputs plus one transformed view each; ``sigma`` is
+    passed to the family's ``sample_delta`` (the trainer's view spread)."""
     if n < 1:
         raise ContractViolation("sample_batch requires n >= 1")
     x = world.sample_x(rng, n)
-    deltas = world.transforms.sample_delta(rng, n, sampler)
+    deltas = world.transforms.sample_delta(rng, n, sigma)
     x_plus = world.transforms.apply(deltas, x)
     v = world.nuisance(x, deltas) if world.nuisance is not None else None
     t = world.orbit_map(x)
@@ -415,10 +412,3 @@ def export_batch_csv(batch: Batch, path) -> None:
         for row in data:
             fh.write(",".join(repr(float(val)) for val in row) + "\n")
 
-
-def magnitude_transform(world: World, alpha: float):
-    """tau_alpha for invariance curves; errors on non-parameterizable groups."""
-    if not world.transforms.magnitude_parameterized:
-        raise NotApplicableError(
-            f"world {world.name!r} has no magnitude-parameterized transforms")
-    return float(alpha)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pelab.cli import _build_parser, _read_embeddings_csv, main
-from pelab.config import SCHEMA, parse_config_text, schema_help
+from pelab.config import SCHEMA, ExperimentConfig, parse_config_text, schema_help
 from pelab.errors import ConfigurationError, ContractViolation
 from pelab.metrics import MetricInputs, certify
 from pelab.numerics import Rng, make_encoder
@@ -145,6 +145,22 @@ def test_run_seed_override_changes_hash(tmp_path):
     d2 = json.loads((out2 / "report.json").read_text())
     assert d1["seed"] == 3 and d2["seed"] == 99
     assert d1["config_hash"] != d2["config_hash"]
+
+
+def test_seed_flag_builds_the_config_once(tmp_path, monkeypatch):
+    # --seed is set while the config is read, not by a second full build
+    built = []
+    init = ExperimentConfig.__init__
+
+    def counting_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(ExperimentConfig, "__init__", counting_init)
+    assert run_cli("verify-theory", "--config", "merged_orbits", "--seed", "5",
+                   "--out", str(tmp_path / "out"), "--quiet") == 0
+    assert len(built) == 1
+    assert built[0]["seed"] == 5 and built[0].where["seed"] == "--seed"
 
 
 def test_run_bad_config_exits_2(tmp_path, capsys):
@@ -602,6 +618,10 @@ def test_train_setting_out_of_range_exits_2(tmp_path, capsys, line, message):
     (["world.radius_values = 1.0"],
      "world.radius_values must hold at least two values, got (1.0,)"),
     (["encoder.d_hidden = 0"], "encoder.d_hidden must be >= 1, got 0"),
+    (["metrics.n = 0"], "metrics.n must be >= 1, got 0"),
+    (["encoder.init_scale = inf"], "encoder.init_scale must be finite, got inf"),
+    (["metrics.curve_alpha_max = inf"],
+     "metrics.curve_alpha_max must be finite, got inf"),
 ], ids=["r_min_above_r_max", "r_min_negative", "r_min_nan",
         "r_max_below_r_min", "init_scale_negative", "sigma_zero",
         "sigma_negative", "eval_every_negative", "pool_below_budgets",
@@ -610,7 +630,8 @@ def test_train_setting_out_of_range_exits_2(tmp_path, capsys, line, message):
         "r_max_infinite", "radius_values_nan", "center_x_nan",
         "center_y_infinite", "sigma_infinite", "world_kind_unknown",
         "encoder_arch_unknown", "theory_scenario_unknown",
-        "radius_values_one", "d_hidden_zero"])
+        "radius_values_one", "d_hidden_zero", "metrics_n_zero",
+        "init_scale_inf", "alpha_max_inf"])
 def test_setting_rejected_before_any_work(tmp_path, capsys, lines, message):
     # each config would train for 50 steps and snapshot every 10; a
     # rejected one exits 2 naming the line of its last key, and leaves no

@@ -59,6 +59,16 @@ def test_curve_requires_magnitude_family(bernoulli_world, rng):
                          uniform_grid(1.0, 5), 100, rng)
 
 
+def test_curve_not_applicable_draws_nothing(bernoulli_world):
+    # the family is checked before any input is drawn, so the caller's
+    # stream is left where it was
+    rng = Rng(4)
+    with pytest.raises(NotApplicableError):
+        invariance_curve(identity_encoder(2), bernoulli_world,
+                         uniform_grid(1.0, 5), 100, rng)
+    assert rng.uniform(size=8).tobytes() == Rng(4).uniform(size=8).tobytes()
+
+
 def test_curve_validates_grid():
     with pytest.raises(ContractViolation):
         Curve(np.array([0.0, 0.5, 0.5]), np.zeros(3))

@@ -119,7 +119,7 @@ def test_equivariance_requires_rho(rng):
         kind = "none"
         rho = None
 
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ConfigurationError):
         _equivariance(enc, batch, NoRho())
 
 

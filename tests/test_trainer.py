@@ -93,7 +93,7 @@ def test_in_place_optimizer_steps_keep_the_former_bits(rotation_world,
     totals = []
     for t in range(1, cfg.steps + 1):
         batch = sample_batch(rotation_world, cfg.batch_size, data_rng,
-                             sampler=("gaussian", cfg.sigma_aug),
+                             sigma=cfg.sigma_aug,
                              with_labels=False)
         total, grad, _ = perc_loss(ref, batch, cfg.objective)
         totals.append(total)

@@ -1,9 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from pelab.errors import ContractViolation
 from pelab.numerics import Rng
-from pelab.worlds import (export_batch_csv, make_rotation_world, rho_batch,
+from pelab.worlds import (WORLD_BUILDERS, export_batch_csv, make_rotation_world,
+                          rho_batch,
                           sample_batch)
 
 
@@ -149,6 +152,21 @@ def test_orbit_map_constant_on_orbits(world_fixture, request):
         assert dev.max() == 0.0  # exact for the discrete group actions
 
 
+@pytest.mark.parametrize("kind", sorted(WORLD_BUILDERS))
+def test_sample_delta_takes_the_view_spread(kind):
+    # every family draws through one signature; rotations draw N(0, sigma)
+    # angles when given a spread, the finite groups ignore it
+    fam = WORLD_BUILDERS[kind]().transforms
+    params = inspect.signature(fam.sample_delta).parameters
+    assert list(params) == ["rng", "n", "sigma"]
+    assert params["sigma"].default is None
+    spread = fam.sample_delta(Rng(21), 500, sigma=0.8)
+    if fam.kind == "rotation2d":
+        assert spread.tobytes() == Rng(21).normal(0.0, 0.8, 500).tobytes()
+    else:
+        assert spread.tobytes() == fam.sample_delta(Rng(21), 500).tobytes()
+
+
 def test_rho_batch_rejects_wrong_code_dim(rotation_world):
     with pytest.raises(ContractViolation):
         rho_batch(rotation_world.transforms, np.array([0.1]), d_z=3)
@@ -167,7 +185,7 @@ def test_rho_batch_equals_the_per_pair_stack(world_fixture, request):
     fam = request.getfixturevalue(world_fixture).transforms
     rng = Rng(14)
     draws = [fam.sample_delta(rng, 4096),
-             fam.sample_delta(rng, 4096, ("gaussian", 0.8))
+             fam.sample_delta(rng, 4096, sigma=0.8)
              if fam.magnitude_parameterized else fam.sample_delta(rng, 7),
              np.array([0.0, -0.0, 0.5, 1.0, np.pi, -np.pi / 2, 1e6])]
     for deltas in draws:
