@@ -144,11 +144,13 @@ def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
             report.add("train_auc_ratio", value=after.value / auc_before)
 
     # theory section
-    if cfg["theory.risk_table"]:
-        report.theory["risk_table"] = theory.risk_table(world)
-    if cfg["assert.risk_table_exact"]:
-        report.theory["risk_table_exact"] = \
-            theory.risk_table_verdict(world).to_dict()
+    if cfg["theory.risk_table"] or cfg["assert.risk_table_exact"]:
+        table = theory.risk_table(world)
+        if cfg["theory.risk_table"]:
+            report.theory["risk_table"] = table
+        if cfg["assert.risk_table_exact"]:
+            report.theory["risk_table_exact"] = \
+                theory.risk_table_verdict(table).to_dict()
     if cfg["theory.assumption_audit"]:
         report.theory["assumption_audit"] = [
             v.to_dict() for v in theory.assumption_audit(

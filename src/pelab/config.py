@@ -122,6 +122,7 @@ _RULES = (
     ("world.r_min", "finite", None),
     ("world.r_max", "finite", None),
     ("world.radius_values", "finite", None),
+    ("world.radius_values", ">=", 0),
     ("world.center_x", "finite", None),
     ("world.center_y", "finite", None),
     ("world.sigma", "finite", None),
@@ -177,6 +178,12 @@ class ExperimentConfig:
         self.world = self.section("world", WORLD_BUILDERS[self["world.kind"]])
         if self["objective.w_eq"] > 0:
             self._check_equivariance_target()
+        # the risk table prices the representations of the two-bit world
+        for key in ("theory.risk_table", "assert.risk_table_exact"):
+            if self[key] and self["world.kind"] != "bernoulli_uv":
+                raise ConfigurationError(
+                    f"{where.get(key, source)}: {key} needs world.kind = "
+                    f"bernoulli_uv, got {self['world.kind']!r}")
         self.objective = self.section("objective", ObjectiveSpec)
         self.train = self.section(
             "train", TrainConfig, steps=max(1, self["train.steps"]),

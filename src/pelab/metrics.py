@@ -506,7 +506,8 @@ def _fisher_trace_body(inp, opts, rng, report):
 
 def _sufficiency_body(inp, opts, rng, report):
     report.add("sufficiency_cmi_bits",
-               value=sufficiency_surrogate(inp.z, inp.x, inp.t))
+               value=sufficiency_surrogate(inp.z, inp.x, inp.t,
+                                           n_bins=opts.mi_bins))
 
 
 def _separability_body(inp, opts, rng, report):
@@ -600,7 +601,8 @@ def certify_encoder(enc: Encoder, world: World, opts: MetricSuiteOptions,
     batch = sample_batch(world, opts.n, streams[0])
     inputs = MetricInputs(
         z=enc.forward(batch.x), x=batch.x, t=batch.t,
-        v=None if batch.v is None else _discrete_nuisance(batch.v),
+        v=None if batch.v is None else _discrete_nuisance(batch.v,
+                                                          opts.mi_bins),
         encoder=enc, world=world)
     report = certify(
         inputs, opts,

@@ -6,11 +6,13 @@ orthogonality check for perception updates against the Bayes-risk gradient,
 the over-invariance counterexamples, the two-stage optimality check, and the
 assumption audit.
 
-Every joint law (of inputs, discretized inputs or orbit values) is a
-``worlds.Atoms``.  F prices the Bayes act per cell: distinct codes
-(``infotheory.rows_as_codes``) for exact laws, quantile histograms
-(``infotheory.discretize_codes``) for samples; its gradient is
-``numerics.finite_diff``.
+F is priced over a law: every joint law of (X, Y) or (T, Y) is a
+``worlds.Atoms`` -- exact, discretized, or sampled (``worlds.sample_law``,
+mass 1/n per row) -- and every Bayes risk takes ``(codes, law, loss)``, one
+code row per atom.  ``bayes_risk`` makes a cell of each distinct code,
+``empirical_bayes_risk`` of each quantile-histogram cell of a sampled law;
+both price the Bayes act per cell with ``risk_of_cells``.  The gradient of
+F is ``numerics.finite_diff``.
 
 Conventions: log-loss is reported in bits, so the log-loss Bayes risk equals
 the conditional entropy H(Y | representation) in bits.  Zero-one loss is also
@@ -24,12 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import infotheory as it
-from .errors import ContractViolation
+from .errors import ContractViolation, DegenerateError
 from .numerics import Encoder, Rng, as_samples, finite_diff
 from .objectives import ObjectiveSpec, invariance_value_grad, perc_loss
 from .probes import LinearHead
-from .worlds import (Batch, World, make_bernoulli_uv_world,
-                     make_rotation_world, sample_batch)
+from .worlds import (Atoms, Batch, World, make_bernoulli_uv_world,
+                     make_rotation_world, sample_batch, sample_law)
 
 LOSS_ZERO_ONE = "zero_one"
 LOSS_LOG = "log"
@@ -65,39 +67,24 @@ def risk_of_cells(cells: np.ndarray, weights: np.ndarray,
     return float(np.sum(w_cell[nonzero] * losses))
 
 
-def _world_atoms(world: World, resolution: int | None):
-    if world.atoms is not None:
-        return world.atoms()
-    if world.discretized_atoms is None:
-        raise ContractViolation(f"world {world.name!r} has no joint-law access")
-    if resolution is None:
-        raise ContractViolation(
-            "continuous world: a discretization resolution is required")
-    return world.discretized_atoms(resolution)
+def bayes_risk(codes: np.ndarray, law: Atoms, loss: str) -> float:
+    """Exact Bayes risk of deciding Y from codes, one code row per atom of
+    ``law``: atoms whose codes agree to within 1e-9 share a cell."""
+    return risk_of_cells(it.rows_as_codes(codes), law.weight, law.posterior,
+                         loss)
 
 
-def bayes_risk(world: World, representation, loss: str,
-               resolution: int | None = None, cell_tol: float = 1e-9) -> float:
-    """Exact Bayes risk of predicting Y from a representation of X.
+def empirical_bayes_risk(codes: np.ndarray, law: Atoms, loss: str,
+                         resolution: int) -> float:
+    """Histogram-posterior estimate of inf_head risk from the codes of a
+    sampled law (``worlds.sample_law``), one code row per atom.
 
-    ``representation`` is one of "full" (X itself), "good"/"bad" (the causal
-    and the group-invariant coordinate of the two-bit world), or an encoder
-    whose codes are grouped to within ``cell_tol``.
-    """
-    atoms = _world_atoms(world, resolution)
-    if not isinstance(representation, str):
-        codes = representation.forward(atoms.x)
-    elif representation == "full":
-        codes = atoms.x
-    elif representation in ("good", "bad"):
-        if world.name != "bernoulli_uv":
-            raise ContractViolation(
-                "good/bad representations are defined on the two-bit world")
-        codes = atoms.x[:, 1 if representation == "good" else 0]
-    else:
-        raise ContractViolation(f"unknown representation {representation!r}")
-    return risk_of_cells(it.rows_as_codes(codes, cell_tol), atoms.weight,
-                         atoms.posterior, loss)
+    Cells are per-dimension quantile histograms over the sample; a constant
+    dimension is one bin, so it leaves the cells unchanged."""
+    codes = as_samples(codes)
+    cells = it.discretize_codes(codes, n_bins=resolution,
+                                max_dims=codes.shape[1])
+    return risk_of_cells(cells, law.weight, law.posterior, loss)
 
 
 # ---------------------------------------------------------------------------
@@ -123,37 +110,21 @@ def task_risk(enc, head: LinearHead, world: World, loss: str,
 # Bayes risk through an encoder: F(phi)
 # ---------------------------------------------------------------------------
 
-def empirical_bayes_risk(codes: np.ndarray, labels: np.ndarray, loss: str,
-                         resolution: int, n_classes: int) -> float:
-    """Histogram-posterior estimate of inf_head risk from sampled codes.
-
-    Cells are per-dimension quantile histograms over the sample; a constant
-    dimension is one bin, so it leaves the cells unchanged."""
-    codes = as_samples(codes)
-    cells = it.discretize_codes(codes, n_bins=resolution,
-                                max_dims=codes.shape[1])
-    labels = np.asarray(labels, dtype=np.int64)
-    w = np.full(labels.size, 1.0 / labels.size)
-    return risk_of_cells(cells, w, np.eye(n_classes)[labels], loss)
-
-
 def bayes_risk_through_encoder(enc, world: World, loss: str,
                                resolution: int = 64, n: int = 4096,
-                               rng: Rng | None = None,
-                               cell_tol: float = 1e-9) -> float:
+                               rng: Rng | None = None) -> float:
     """F(phi) = inf over heads of the task risk when deciding from enc(X).
 
-    Exact (joint-law enumeration, distinct-code cells) for discrete worlds;
-    sampled histogram posteriors over quantile cells otherwise.
+    Exact over the world's atoms for discrete worlds; over quantile cells
+    of one sampled law otherwise.
     """
     if world.atoms is not None:
-        return bayes_risk(world, enc, loss, cell_tol=cell_tol)
+        law = world.atoms()
+        return bayes_risk(enc.forward(law.x), law, loss)
     if rng is None:
         raise ContractViolation("sampled F(phi) requires an rng")
-    x = world.sample_x(rng, n)
-    y = world.label_fn(x)
-    return empirical_bayes_risk(enc.forward(x), y, loss, resolution,
-                                world.n_classes)
+    law = sample_law(world, rng, n)
+    return empirical_bayes_risk(enc.forward(law.x), law, loss, resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -311,25 +282,19 @@ def orthogonality_check(family: FactorThroughTFamily, world: World,
     """
     rng_data, rng_dirs, rng_ginv, rng_gperc = rng.split(4)
 
-    # frozen evaluation law: exact atoms when available, else one sample
+    # frozen evaluation law of (T, Y): the exact orbit atoms when available,
+    # else one sample with its rows replaced by their orbit values
     sampled = world.t_atoms is None
-    if not sampled:
-        law = world.t_atoms()
-        t_eval = law.x
+    law = sample_law(world, rng_data, n) if sampled else world.t_atoms()
+    if sampled:
+        law.x = np.asarray(world.orbit_map(law.x))
+    t_eval = law.x
 
-        def risk_at(psi, res=None):   # exact cells: no resolution
-            family.set_flat_params(psi)
-            cells = it.rows_as_codes(family.codes_of_t(t_eval))
-            return risk_of_cells(cells, law.weight, law.posterior, loss)
-    else:
-        x_eval = world.sample_x(rng_data, n)
-        y_eval = world.label_fn(x_eval)
-        t_eval = np.asarray(world.orbit_map(x_eval))
-
-        def risk_at(psi, res=resolution):
-            family.set_flat_params(psi)
-            return empirical_bayes_risk(family.codes_of_t(t_eval), y_eval,
-                                        loss, res, world.n_classes)
+    def risk_at(psi, res=resolution):   # exact cells need no resolution
+        family.set_flat_params(psi)
+        codes = family.codes_of_t(t_eval)
+        return (empirical_bayes_risk(codes, law, loss, res) if sampled
+                else bayes_risk(codes, law, loss))
 
     psi0 = family.get_flat_params()
     f0 = risk_at(psi0)
@@ -449,18 +414,27 @@ def two_stage_check(world: World, enc, rng: Rng, n_train: int = 4096,
                     resolution: int = 256,
                     name: str = "two_stage") -> TheoryVerdict:
     """Train a decision head on frozen codes and compare its held-out
-    zero-one risk to the Bayes risk of the full input."""
+    zero-one risk to the Bayes risk of the full input (exact atoms, or the
+    law discretized at ``resolution``).  A label sample too degenerate to
+    train a head on fails the verdict, with the reason in its diagnostics."""
     from .trainer import train_head  # local import: trainer builds on theory-free modules
-    head = train_head(enc, world, rng, label_budget=n_train)
-    risk = task_risk(enc, head, world, LOSS_ZERO_ONE, n_eval, rng)
-    bayes = bayes_risk(world, "full", LOSS_ZERO_ONE, resolution=resolution)
+    law = world.atoms() if world.atoms else world.discretized_atoms(resolution)
+    bayes = bayes_risk(law.x, law, LOSS_ZERO_ONE)
+    risk = gap = None
+    diagnostics = {"n_train": n_train, "n_eval": n_eval}
+    try:
+        head = train_head(enc, world, rng, label_budget=n_train)
+    except DegenerateError as exc:
+        diagnostics["reason"] = str(exc)
+    else:
+        risk = task_risk(enc, head, world, LOSS_ZERO_ONE, n_eval, rng)
+        gap = risk - bayes
     return TheoryVerdict(
         name=name,
-        measured={"head_risk": float(risk), "bayes_risk_full": float(bayes),
-                  "gap": float(risk - bayes)},
+        measured={"head_risk": risk, "bayes_risk_full": bayes, "gap": gap},
         tolerance=gap_tol,
-        passed=bool(risk <= bayes + gap_tol),
-        diagnostics={"n_train": n_train, "n_eval": n_eval})
+        passed=risk is not None and risk <= bayes + gap_tol,
+        diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -468,20 +442,23 @@ def two_stage_check(world: World, enc, rng: Rng, n_train: int = 4096,
 # ---------------------------------------------------------------------------
 
 def risk_table(world: World) -> dict:
-    """Bayes risks of the full/good/bad representations of the two-bit world
-    under zero-one loss, plus the conditional entropies under log-loss."""
-    return {
-        "zero_one": {rep: bayes_risk(world, rep, LOSS_ZERO_ONE)
-                     for rep in ("full", "good", "bad")},
-        "log_bits": {rep: bayes_risk(world, rep, LOSS_LOG)
-                     for rep in ("full", "good", "bad")},
-    }
+    """Bayes risks of the full (X), good (V) and bad (U) representations of
+    the two-bit world under zero-one loss, plus the conditional entropies
+    under log-loss."""
+    if world.name != "bernoulli_uv":
+        raise ContractViolation("the risk table is defined on the two-bit "
+                                f"world, not {world.name!r}")
+    law = world.atoms()
+    reps = {"full": law.x, "good": law.x[:, 1], "bad": law.x[:, 0]}
+    return {key: {rep: bayes_risk(codes, law, loss)
+                  for rep, codes in reps.items()}
+            for key, loss in (("zero_one", LOSS_ZERO_ONE),
+                              ("log_bits", LOSS_LOG))}
 
 
-def risk_table_verdict(world: World, tol: float = 1e-12) -> TheoryVerdict:
+def risk_table_verdict(table: dict, tol: float = 1e-12) -> TheoryVerdict:
     """Assert the (0, 0, 1/2) zero-one risks and the (0, 0, 1) bit
-    conditional entropies, exactly."""
-    table = risk_table(world)
+    conditional entropies of a ``risk_table``, exactly."""
     zo, lg = table["zero_one"], table["log_bits"]
     checks = {
         "zero_one_full": abs(zo["full"]) <= tol,

@@ -127,7 +127,8 @@ class Atoms:
     """A finite (or finitely discretized) joint law of (X, Y):
     one row of ``x`` per atom, its probability mass, and P(Y | X=x).
     ``World.t_atoms`` gives the law of (T, Y) in the same form, with the
-    orbit values in ``x``."""
+    orbit values in ``x``; ``sample_law`` gives the empirical law of a
+    sample."""
     x: np.ndarray          # (m, d_x), or the orbit values (m,) or (m, k)
     weight: np.ndarray     # (m,), sums to 1
     posterior: np.ndarray  # (m, n_classes)
@@ -189,6 +190,14 @@ def sample_batch(world: World, n: int, rng: Rng, sigma=None,
     if with_labels and world.label_fn is not None:
         y = world.label_fn(x)
     return Batch(x, x_plus, deltas, v, t, y)
+
+
+def sample_law(world: World, rng: Rng, n: int) -> Atoms:
+    """The empirical law of n inputs drawn by ``world.sample_x(rng, n)``:
+    one atom per row, of mass 1/n, with the one-hot posterior of its label."""
+    x = world.sample_x(rng, n)
+    return Atoms(x, np.full(n, 1.0 / n),
+                 np.eye(world.n_classes)[world.label_fn(x)])
 
 
 # ---------------------------------------------------------------------------

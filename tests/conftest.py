@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pelab
+from pelab import theory
 from pelab.numerics import Encoder, Rng
 from pelab.worlds import (make_bernoulli_uv_world, make_rotation_world,
                           make_six_nine_world)
@@ -36,6 +37,21 @@ def bernoulli_world():
 @pytest.fixture
 def six_nine_world():
     return make_six_nine_world()
+
+
+@pytest.fixture
+def risk_evals(monkeypatch):
+    """The argument tuples of every ``theory.risk_of_cells`` call made in
+    the test, one per Bayes-risk evaluation."""
+    calls = []
+    price = theory.risk_of_cells
+
+    def counted(*args):
+        calls.append(args)
+        return price(*args)
+
+    monkeypatch.setattr(theory, "risk_of_cells", counted)
+    return calls
 
 
 def identity_encoder(d):

@@ -28,11 +28,12 @@ def _report(num, ok, detail=""):
 
 def test_criterion_01_risk_table_exact():
     t0 = time.time()
-    world = make_bernoulli_uv_world()
-    zo = {rep: bayes_risk(world, rep, "zero_one")
-          for rep in ("full", "good", "bad")}
-    h_u = bayes_risk(world, "bad", "log")    # H(Y | U) in bits
-    h_v = bayes_risk(world, "good", "log")   # H(Y | V) in bits
+    law = make_bernoulli_uv_world().atoms()
+    reps = {"full": law.x, "good": law.x[:, 1], "bad": law.x[:, 0]}
+    zo = {rep: bayes_risk(codes, law, "zero_one")
+          for rep, codes in reps.items()}
+    h_u = bayes_risk(reps["bad"], law, "log")    # H(Y | U) in bits
+    h_v = bayes_risk(reps["good"], law, "log")   # H(Y | V) in bits
     elapsed = time.time() - t0
     ok = (abs(zo["full"]) <= 1e-12 and abs(zo["good"]) <= 1e-12
           and abs(zo["bad"] - 0.5) <= 1e-12

@@ -126,6 +126,34 @@ def test_run_bernoulli_counterexample(tmp_path):
     assert (out / "config_echo.cfg").exists()
 
 
+def test_run_bernoulli_prices_its_risk_table_once(tmp_path, risk_evals):
+    # the table and its exact verdict share one pricing: 3 representations
+    # under 2 losses
+    assert run_cli("run", "--config", "bernoulli_counterexample",
+                   "--out", str(tmp_path / "run"), "--quiet") == 0
+    assert len(risk_evals) == 6
+
+
+def test_run_degenerate_two_stage_sample_fails_its_verdict(tmp_path):
+    # two labelled rows of one class leave no head to train: the verdict
+    # fails with the reason, and the run still writes its report
+    cfg = tmp_path / "two_stage.cfg"
+    cfg.write_text("world.kind = bernoulli_uv\nencoder.arch = linear\n"
+                   "encoder.d_z = 2\nmetrics.enabled = false\n"
+                   "theory.two_stage = true\ntheory.n = 2\n")
+    out = tmp_path / "run"
+    assert run_cli("run", "--config", str(cfg), "--seed", "1",
+                   "--out", str(out), "--quiet") == 1
+    doc = json.loads((out / "report.json").read_text())
+    verdict = doc["theory"]["two_stage"]
+    assert not verdict["passed"]
+    assert verdict["measured"]["head_risk"] is None
+    assert verdict["measured"]["gap"] is None
+    assert verdict["measured"]["bayes_risk_full"] == 0.0
+    assert verdict["diagnostics"]["reason"] == \
+        "probe targets must have at least two classes"
+
+
 def test_run_determinism_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli("run", "--config", "bernoulli_counterexample",
@@ -602,6 +630,8 @@ def test_train_setting_out_of_range_exits_2(tmp_path, capsys, line, message):
     (["world.r_max = inf"], "world.r_max must be finite, got inf"),
     (["world.radius_values = 0.5, nan"],
      "world.radius_values must be finite, got (0.5, nan)"),
+    (["world.radius_values = -1, 2"],
+     "world.radius_values must be >= 0, got (-1.0, 2.0)"),
     (["world.kind = six_nine", "world.center_x = nan"],
      "world.center_x must be finite, got nan"),
     (["world.kind = six_nine", "world.center_y = -inf"],
@@ -622,16 +652,23 @@ def test_train_setting_out_of_range_exits_2(tmp_path, capsys, line, message):
     (["encoder.init_scale = inf"], "encoder.init_scale must be finite, got inf"),
     (["metrics.curve_alpha_max = inf"],
      "metrics.curve_alpha_max must be finite, got inf"),
+    (["theory.risk_table = true"],
+     "theory.risk_table needs world.kind = bernoulli_uv, got 'rotation'"),
+    (["assert.risk_table_exact = true"],
+     "assert.risk_table_exact needs world.kind = bernoulli_uv, "
+     "got 'rotation'"),
 ], ids=["r_min_above_r_max", "r_min_negative", "r_min_nan",
         "r_max_below_r_min", "init_scale_negative", "sigma_zero",
         "sigma_negative", "eval_every_negative", "pool_below_budgets",
         "budget_one", "theory_n_one", "batch_size_zero", "batch_size_one_nce",
         "tau_zero", "w_var_negative", "sim_unknown", "r_min_infinite",
-        "r_max_infinite", "radius_values_nan", "center_x_nan",
+        "r_max_infinite", "radius_values_nan", "radius_values_negative",
+        "center_x_nan",
         "center_y_infinite", "sigma_infinite", "world_kind_unknown",
         "encoder_arch_unknown", "theory_scenario_unknown",
         "radius_values_one", "d_hidden_zero", "metrics_n_zero",
-        "init_scale_inf", "alpha_max_inf"])
+        "init_scale_inf", "alpha_max_inf", "risk_table_off_two_bit_world",
+        "risk_table_exact_off_two_bit_world"])
 def test_setting_rejected_before_any_work(tmp_path, capsys, lines, message):
     # each config would train for 50 steps and snapshot every 10; a
     # rejected one exits 2 naming the line of its last key, and leaves no

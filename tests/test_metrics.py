@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pelab import metrics
 from pelab.errors import (ContractViolation, DegenerateError,
                           NotApplicableError)
 from pelab.metrics import (Curve, MetricInputs, MetricReport,
@@ -328,6 +329,42 @@ def test_sufficiency_one_bit_for_full_code():
 def test_sufficiency_zero_for_constant_code():
     x, t = _enumerated_bernoulli()
     assert sufficiency_surrogate(np.ones((4, 1)), x, t) == 0.0
+
+
+def test_sufficiency_metric_bins_codes_by_mi_bins():
+    # continuous codes of binary inputs: the registry bins them with
+    # metrics.mi_bins, and 16 bins see more of I(X; Z | T) than 8
+    rng = np.random.default_rng(12)
+    x = rng.integers(0, 2, size=(2000, 2)).astype(np.float64)
+    z = x @ np.array([[1.0], [0.5]]) + rng.normal(size=(2000, 1))
+    t = x[:, 0]
+    values = {}
+    for bins in (8, 16):
+        report = certify(MetricInputs(z=z, x=x, t=t),
+                         MetricSuiteOptions(mi_bins=bins), {},
+                         names=("sufficiency_cmi_bits",))
+        values[bins] = report.metrics["sufficiency_cmi_bits"].value
+        assert values[bins] == sufficiency_surrogate(z, x, t, n_bins=bins)
+    assert values[16] > values[8]
+
+
+def test_certify_encoder_bins_the_nuisance_by_mi_bins(rotation_world,
+                                                       monkeypatch):
+    # the rotation world's nuisance is a continuous angle: the leakage probe
+    # sees it in metrics.mi_bins quantile classes
+    seen = []
+    probe = metrics.leakage_probe
+
+    def spy(z, v, rng):
+        seen.append(np.unique(v).size)
+        return probe(z, v, rng)
+
+    monkeypatch.setattr(metrics, "leakage_probe", spy)
+    opts = MetricSuiteOptions(n=512, curve_points=5, mi_bins=16,
+                              probe_efficiency=False)
+    certify_encoder(make_encoder("mlp1", 2, 3, 8, Rng(39)), rotation_world,
+                    opts, Rng(40))
+    assert seen == [16]
 
 
 def test_sufficiency_rejects_continuous_inputs(rotation_world, rng):

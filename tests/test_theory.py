@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pelab import infotheory as it
 from pelab.errors import ContractViolation
-from pelab.numerics import Encoder, Rng, make_encoder, matmul
+from pelab.numerics import Encoder, Rng, as_samples, make_encoder, matmul
 from pelab.objectives import (ObjectiveSpec, covariance_penalty_value_grad,
                               infonce_value_grad, invariance_value_grad,
                               variance_floor_value_grad)
@@ -19,7 +20,8 @@ from pelab.theory import (_PERCEPTION_SPEC, FactorThroughTFamily,
                           risk_of_cells, risk_table,
                           run_scenario, task_risk, two_stage_check)
 from pelab.trainer import TrainConfig, train_head, train_perception
-from pelab.worlds import make_rotation_world, sample_batch
+from pelab.worlds import (Atoms, make_bernoulli_uv_world, make_rotation_world,
+                          make_six_nine_world, sample_batch, sample_law)
 
 from conftest import identity_encoder
 
@@ -37,15 +39,17 @@ def test_risk_table_exact(bernoulli_world):
     assert abs(table["log_bits"]["bad"] - 1.0) <= 1e-12  # H(Y | U) = 1 bit
 
 
-def test_bayes_risk_rejects_unknown_representation(bernoulli_world):
-    with pytest.raises(ContractViolation):
-        bayes_risk(bernoulli_world, "mediocre", "zero_one")
+def test_risk_table_needs_two_bit_world(rotation_world):
+    with pytest.raises(ContractViolation, match="two-bit world"):
+        risk_table(rotation_world)
 
 
 def test_bayes_risk_continuous_world_needs_resolution(rotation_world):
-    with pytest.raises(ContractViolation):
-        bayes_risk(rotation_world, "full", "zero_one")
-    assert bayes_risk(rotation_world, "full", "zero_one", resolution=64) == 0.0
+    # a continuous world has no exact law: its law is discretized at a
+    # resolution, where the full input still decides the label exactly
+    assert rotation_world.atoms is None
+    law = rotation_world.discretized_atoms(64)
+    assert bayes_risk(law.x, law, "zero_one") == 0.0
 
 
 def test_bayes_risk_through_encoder_identity(bernoulli_world):
@@ -67,7 +71,8 @@ def test_bayes_risk_through_injective_reparam_of_v(bernoulli_world):
 def test_oracle_consistency_identity_equals_full(bernoulli_world):
     via_enc = bayes_risk_through_encoder(identity_encoder(2), bernoulli_world,
                                          "log")
-    direct = bayes_risk(bernoulli_world, "full", "log")
+    law = bernoulli_world.atoms()
+    direct = bayes_risk(law.x, law, "log")
     assert via_enc == direct
 
 
@@ -115,25 +120,75 @@ def test_risk_of_cells_matches_scatter_add(loss, seed, n, k, n_classes):
         _scatter_add_risk(cells, weights, posteriors, loss)
 
 
+def _label_law(x, labels, n_classes=2):
+    """The empirical law of labelled rows: mass 1/n each, one-hot labels."""
+    n = len(labels)
+    return Atoms(x, np.full(n, 1.0 / n), np.eye(n_classes)[labels])
+
+
 @pytest.mark.parametrize("loss", ["zero_one", "log"])
 def test_empirical_bayes_risk_ignores_constant_columns(loss):
     rng = np.random.default_rng(4)
     codes = rng.normal(size=(600, 2))
     labels = (codes[:, 0] + 0.5 * rng.normal(size=600) > 0).astype(int)
     padded = np.column_stack([codes[:, :1], np.full(600, 7.0), codes[:, 1:]])
-    assert empirical_bayes_risk(padded, labels, loss, 16, 2) == \
-        empirical_bayes_risk(codes, labels, loss, 16, 2)
+    law = _label_law(codes, labels)
+    assert empirical_bayes_risk(padded, law, loss, 16) == \
+        empirical_bayes_risk(codes, law, loss, 16)
 
 
 @pytest.mark.parametrize("loss", ["zero_one", "log"])
 def test_empirical_bayes_risk_of_constant_codes_is_one_cell(loss):
     labels = np.array([0] * 30 + [1] * 10)
-    post = np.eye(2)[labels]
-    one_cell = risk_of_cells(np.zeros(40, dtype=np.int64),
-                             np.full(40, 1.0 / 40), post, loss)
-    assert empirical_bayes_risk(np.full((40, 3), -2.0), labels, loss, 8,
-                                2) == one_cell
+    law = _label_law(np.zeros((40, 1)), labels)
+    one_cell = risk_of_cells(np.zeros(40, dtype=np.int64), law.weight,
+                             law.posterior, loss)
+    assert empirical_bayes_risk(np.full((40, 3), -2.0), law, loss, 8) == \
+        one_cell
     assert one_cell > 0.0
+
+
+def _labels_risk(codes, labels, loss, resolution, n_classes):
+    """The former labels-and-class-count estimator, kept as the oracle: it
+    rebuilt the 1/n weights and the one-hot posteriors on every call."""
+    codes = as_samples(codes)
+    cells = it.discretize_codes(codes, n_bins=resolution,
+                                max_dims=codes.shape[1])
+    labels = np.asarray(labels, dtype=np.int64)
+    w = np.full(labels.size, 1.0 / labels.size)
+    return risk_of_cells(cells, w, np.eye(n_classes)[labels], loss)
+
+
+_SAMPLED_WORLDS = {"rotation": make_rotation_world,
+                   "rotation_discrete": lambda: make_rotation_world(
+                       radius_values=(0.6, 0.9, 1.1, 1.4)),
+                   "bernoulli_uv": make_bernoulli_uv_world,
+                   "six_nine": make_six_nine_world}
+
+
+@pytest.mark.parametrize("loss", ["zero_one", "log"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 400),
+       resolution=st.integers(2, 32), d_z=st.integers(1, 3),
+       kind=st.sampled_from(sorted(_SAMPLED_WORLDS)))
+def test_empirical_bayes_risk_of_sampled_law_matches_labels_formula(
+        loss, seed, n, resolution, kind, d_z):
+    world = _SAMPLED_WORLDS[kind]()
+    enc = make_encoder("mlp1", 2, d_z, 5, Rng(seed), init_scale=2.0)
+    law = sample_law(world, Rng(seed), n)
+    x = world.sample_x(Rng(seed), n)
+    assert empirical_bayes_risk(enc.forward(law.x), law, loss, resolution) \
+        == _labels_risk(enc.forward(x), world.label_fn(x), loss, resolution,
+                        world.n_classes)
+
+
+@pytest.mark.parametrize("scenario, evals", [
+    ("orthogonality_rotation", 53), ("merged_orbits", 43),
+    ("over_invariance_bernoulli", 2)])
+def test_risk_evaluations_per_scenario(risk_evals, scenario, evals):
+    # each check builds its law once; every F evaluation prices it once
+    run_scenario(scenario, seed=11)
+    assert len(risk_evals) == evals
 
 
 # ---------------------------------------------------------------------------

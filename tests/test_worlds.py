@@ -7,7 +7,7 @@ from pelab.errors import ContractViolation
 from pelab.numerics import Rng
 from pelab.worlds import (WORLD_BUILDERS, export_batch_csv, make_rotation_world,
                           rho_batch,
-                          sample_batch)
+                          sample_batch, sample_law)
 
 
 def test_rotation_orbit_map_is_radius(rotation_world):
@@ -219,3 +219,21 @@ def test_batch_csv_round_trip(tmp_path, bernoulli_world):
     assert np.array_equal(rows[:, 2:4], batch.x_plus)
     assert np.array_equal(rows[:, 4], batch.deltas)
     assert np.array_equal(rows[:, 7], batch.y.astype(float))
+
+
+@pytest.mark.parametrize("kind", sorted(WORLD_BUILDERS))
+def test_sample_law_draws_what_sample_x_draws(kind):
+    # the same rows from equal seeds, each of mass 1/n with its one-hot
+    # label, and the stream left where sample_x leaves it
+    world = WORLD_BUILDERS[kind]()
+    rng_law, rng_x = Rng(7), Rng(7)
+    law = sample_law(world, rng_law, 300)
+    x = world.sample_x(rng_x, 300)
+    assert np.array_equal(law.x, x)
+    assert np.array_equal(law.weight, np.full(300, 1.0 / 300))
+    assert law.posterior.shape == (300, world.n_classes)
+    assert np.array_equal(law.posterior.argmax(axis=1), world.label_fn(x))
+    assert np.array_equal(np.sort(law.posterior, axis=1)[:, -1], np.ones(300))
+    assert np.count_nonzero(law.posterior) == 300
+    assert rng_law.uniform(0.0, 1.0, 4).tolist() == \
+        rng_x.uniform(0.0, 1.0, 4).tolist()
