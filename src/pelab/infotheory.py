@@ -3,19 +3,24 @@
 All quantities are in bits.  Continuous code dimensions are discretized by
 quantile binning, which is invariant under strictly monotone per-dimension
 reparameterizations (bin membership depends only on sample ranks).  Every
-cell numbering -- joint integer codes and rows grouped to a tolerance --
-comes from one row coder, ``_row_codes``, so cells are always numbered in
-lexicographic row order.
+cell numbering of several columns -- joint integer codes and rows grouped to
+a tolerance -- comes from one row coder, ``_row_codes``, so cells are always
+numbered in lexicographic row order.  One quantile-coded column is numbered
+by its bins, in value order, and may skip the numbers of empty bins: the
+cell sums, the entropies and ``joint_codes`` read only which rows share a
+cell and in what order.
 
 The cell kernel sorts each column once.  ``quantile_codes`` takes its edges
 and its codes from one ``argsort``, reading the edges off the sorted column
-by numpy's quantile rule; ``_row_codes`` renumbers integer keys of
-a narrow range by a counting pass and sorts only wide-range or float keys;
-cell sums are ``np.bincount`` weighted sums, added in row order.
+by numpy's quantile rule at positions cached per (rows, bins);
+``_row_codes`` renumbers integer keys of a narrow range by a counting pass
+and sorts only wide-range or float keys; cell sums are ``np.bincount``
+weighted sums, added in row order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -63,19 +68,33 @@ def joint_codes(*code_arrays) -> np.ndarray:
         [np.asarray(c, dtype=np.int64) for c in code_arrays]))
 
 
-def _sorted_quantiles(ranked: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """``np.quantile(ranked, qs)`` of a sorted float64 column, read off it by
-    numpy's linear rule without a partition: position p = q (n - 1),
-    a = ranked[floor p], b the next value and t = p - floor p, then
-    a + (b - a) t for t < 1/2 and b - (b - a)(1 - t) from 1/2 on.  A NaN
-    sorts last and makes every quantile NaN, as in numpy."""
-    last = ranked.size - 1
-    pos = last * qs
+@functools.lru_cache
+def _quantile_positions(n: int, n_bins: int):
+    """Read-only positions of the inner ``n_bins``-quantiles in a sorted
+    column of ``n`` values, by numpy's linear rule: p = q (n - 1), the
+    index ``lo`` = floor p, the next index ``hi`` (clipped to the column) and
+    the fraction t = p - floor p."""
+    qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
+    pos = (n - 1) * qs
     lo = np.floor(pos)
     t = pos - lo
     lo = lo.astype(np.intp)
+    hi = np.minimum(lo + 1, n - 1)
+    for a in (lo, hi, t):
+        a.flags.writeable = False
+    return lo, hi, t
+
+
+def _sorted_quantiles(ranked: np.ndarray, n_bins: int) -> np.ndarray:
+    """The inner ``n_bins``-quantiles of a sorted float64 column, equal to
+    ``np.quantile(ranked, np.linspace(0, 1, n_bins + 1)[1:-1])``, read off
+    it by numpy's linear rule without a partition: with a = ranked[lo] and
+    b = ranked[hi] at cached positions, a + (b - a) t for t < 1/2 and
+    b - (b - a)(1 - t) from 1/2 on.  A NaN sorts last and makes every
+    quantile NaN, as in numpy."""
+    lo, hi, t = _quantile_positions(ranked.size, n_bins)
     a = ranked[lo]
-    b = ranked[np.minimum(lo + 1, last)]
+    b = ranked[hi]
     d = b - a
     edges = np.where(t < 0.5, a + d * t, b - d * (1 - t))
     if np.isnan(ranked[-1]):
@@ -94,8 +113,7 @@ def quantile_codes(values, n_bins: int = 8) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     order = np.argsort(values)
     ranked = values[order]
-    qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-    edges = np.unique(_sorted_quantiles(ranked, qs))
+    edges = np.unique(_sorted_quantiles(ranked, n_bins))
     # edge j lies at or below every rank from first[j] on; a rank's code
     # is the number of edges that have started by it
     first = np.searchsorted(ranked, edges, side="left")
@@ -125,11 +143,15 @@ def pca_directions(z: np.ndarray, k: int) -> np.ndarray:
 def discretize_codes(z: np.ndarray, n_bins: int = 8, max_dims: int = 2) -> np.ndarray:
     """Integer cell ids for a code batch: quantile bins per dimension, taken
     on at most ``max_dims`` leading principal directions to keep the plug-in
-    bias controlled."""
+    bias controlled.  The ids of one dimension are its quantile codes."""
     z = as_samples(z)
     if z.shape[1] > max_dims:
         z = matmul(z, pca_directions(z, max_dims))
     per_dim = [quantile_codes(z[:, j], n_bins) for j in range(z.shape[1])]
+    if len(per_dim) == 1:
+        # one column's codes already follow its value order; the row coder
+        # would only close the gaps of empty bins
+        return per_dim[0]
     return joint_codes(*per_dim)
 
 

@@ -14,6 +14,12 @@ code row per atom.  ``bayes_risk`` makes a cell of each distinct code,
 both price the Bayes act per cell with ``risk_of_cells``.  The gradient of
 F is ``numerics.finite_diff``.
 
+One orthogonality check computes what is fixed within it once: the
+injectivity witness's far pairs (``far_pairs``, orbit values at least 1e-3
+apart), the order of a sampled law (sorted by orbit value, so a monotone
+link's codes come sorted), and the codes at each parameter point, which
+price every resolution asked of that point.
+
 Conventions: log-loss is reported in bits, so the log-loss Bayes risk equals
 the conditional entropy H(Y | representation) in bits.  Zero-one loss is also
 provided for the counterexample risk table but is not strictly proper.
@@ -167,25 +173,32 @@ class FactorThroughTFamily:
         return self.inner.mutation_count
 
     def injectivity_witness(self, t_sample: np.ndarray, in_gap: float = 1e-3,
-                            out_tol: float = 1e-9) -> dict:
+                            out_tol: float = 1e-9, pairs=None) -> dict:
         """Sample-level injectivity of h on range(T): any two orbit values at
-        least ``in_gap`` apart must map at least ``out_tol`` apart."""
-        t = np.asarray(t_sample, dtype=np.float64).reshape(-1)
-        if t.size > 256:
-            t = t[np.linspace(0, t.size - 1, 256).astype(int)]
+        least ``in_gap`` apart must map at least ``out_tol`` apart.
+
+        ``pairs`` is ``far_pairs(t_sample, in_gap)``, passed in when one set
+        serves several inner maps.  A sample without far pairs witnesses
+        nothing: it is ok, with a ``min_code_gap`` of None."""
+        t, i, j = far_pairs(t_sample, in_gap) if pairs is None else pairs
         z = self.codes_of_t(t)
-        violations, min_sq = 0, np.inf
-        # blocks of 64 rows keep every pairwise temporary small; the squared
-        # code gaps of far pairs are summed column by column
-        for lo in range(0, t.size, 64):
-            far = np.abs(np.subtract.outer(t[lo:lo + 64], t)) >= in_gap
-            sq = sum(np.square(np.subtract.outer(col[lo:lo + 64], col)[far])
-                     for col in z.T)
-            violations += np.count_nonzero(np.sqrt(sq) < out_tol)
-            min_sq = min(min_sq, sq.min(initial=np.inf))
-        violations = int(violations) // 2   # each pair was seen from both ends
+        # squared code gaps of the far pairs, summed column by column
+        sq = sum(np.square(col.take(i) - col.take(j)) for col in z.T)
+        near = sq[sq <= (2.0 * out_tol) ** 2]
+        violations = int(np.count_nonzero(np.sqrt(near) < out_tol))
         return {"ok": violations == 0, "violations": violations,
-                "min_code_gap": float(np.sqrt(min_sq))}
+                "min_code_gap": float(np.sqrt(sq.min())) if i.size else None}
+
+
+def far_pairs(t_sample: np.ndarray, in_gap: float = 1e-3):
+    """The injectivity witness's sample and pair set: at most 256 evenly
+    spaced values ``t`` of ``t_sample``, and the index arrays ``i < j`` of
+    the pairs of ``t`` at least ``in_gap`` apart, as ``(t, i, j)``."""
+    t = np.asarray(t_sample, dtype=np.float64).reshape(-1)
+    if t.size > 256:
+        t = t[np.linspace(0, t.size - 1, 256).astype(int)]
+    i, j = np.nonzero(np.triu(np.abs(np.subtract.outer(t, t)) >= in_gap, 1))
+    return t, i, j
 
 
 def factorization_residual(family: FactorThroughTFamily, x: np.ndarray) -> float:
@@ -279,30 +292,43 @@ def orthogonality_check(family: FactorThroughTFamily, world: World,
 
     ``extra_directions`` entries are (label, vector, step_grid) and let the
     violation scenarios drive the same machinery along merging paths.
+
+    What is fixed within the check is computed once: the injectivity
+    witness's far pairs, the sort order of a sampled law (its atoms ordered
+    by orbit value), and the codes at each central-difference point, which
+    price both resolutions of the resolution-shift diagnostic.
     """
     rng_data, rng_dirs, rng_ginv, rng_gperc = rng.split(4)
 
     # frozen evaluation law of (T, Y): the exact orbit atoms when available,
     # else one sample with its rows replaced by their orbit values
     sampled = world.t_atoms is None
-    law = sample_law(world, rng_data, n) if sampled else world.t_atoms()
     if sampled:
-        law.x = np.asarray(world.orbit_map(law.x))
+        law = sample_law(world, rng_data, n)
+        t_witness = np.asarray(world.orbit_map(law.x))
+        # atoms sorted by orbit value, so a monotone link yields sorted
+        # codes; every nonzero term of a cell sum is the same 1/n, so the
+        # order of the rows cannot change a risk
+        order = np.lexsort(as_samples(t_witness).T[::-1])
+        law = Atoms(t_witness[order], law.weight[order], law.posterior[order])
+    else:
+        law = world.t_atoms()
+        t_witness = law.x
     t_eval = law.x
 
-    def risk_at(psi, res=resolution):   # exact cells need no resolution
+    def codes_at(psi):
         family.set_flat_params(psi)
-        codes = family.codes_of_t(t_eval)
+        return family.codes_of_t(t_eval)
+
+    def price(codes, res=resolution):   # exact cells need no resolution
         return (empirical_bayes_risk(codes, law, loss, res) if sampled
                 else bayes_risk(codes, law, loss))
 
+    def risk_at(psi):
+        return price(codes_at(psi))
+
     psi0 = family.get_flat_params()
     f0 = risk_at(psi0)
-    witness0 = family.injectivity_witness(t_eval)
-
-    def dvf_along(unit, res):
-        return (risk_at(psi0 + fd_step * unit, res)
-                - risk_at(psi0 - fd_step * unit, res)) / (2.0 * fd_step)
 
     # the invariance gradient is identically zero at exact invariance;
     # it is computed through the real machinery rather than assumed
@@ -315,6 +341,11 @@ def orthogonality_check(family: FactorThroughTFamily, world: World,
                            rng_dirs.normal(size=psi0.size), t_grid))
     for label, vec, grid in (extra_directions or []):
         directions.append((label, np.asarray(vec, dtype=np.float64), grid))
+
+    # one witness pair set for the whole check, built after the gradients'
+    # buffers are freed; the parameters are still psi0
+    pairs = far_pairs(t_witness)
+    witness0 = family.injectivity_witness(t_witness, pairs=pairs)
 
     dir_results = {}
     max_abs_dvf = 0.0
@@ -329,21 +360,28 @@ def orthogonality_check(family: FactorThroughTFamily, world: World,
             dir_results[label] = {"norm": norm, "dvf": 0.0, "delta_f": {}}
             continue
         unit = vec / norm
-        dvf = dvf_along(unit, resolution)
+        # one forward per difference point prices both resolutions
+        plus = codes_at(psi0 + fd_step * unit)
+        minus = codes_at(psi0 - fd_step * unit)
+
+        def dvf_at(res):
+            return (price(plus, res) - price(minus, res)) / (2.0 * fd_step)
+
+        dvf = dvf_at(resolution)
+        if sampled:
+            # resolution stability of the directional derivative
+            resolution_shift = max(resolution_shift,
+                                   abs(dvf_at(2 * resolution) - dvf))
         deltas = {}
         for step in grid:
             f_t = risk_at(psi0 + step * unit)   # leaves psi0 + step * unit set
-            wit = family.injectivity_witness(t_eval)
+            wit = family.injectivity_witness(t_witness, pairs=pairs)
             deltas[repr(float(step))] = {"delta_f": f_t - f0,
                                          "injective": wit["ok"]}
             witness_ok = witness_ok and wit["ok"]
             max_abs_df = max(max_abs_df, abs(f_t - f0))
         max_abs_dvf = max(max_abs_dvf, abs(dvf))
         dir_results[label] = {"norm": norm, "dvf": float(dvf), "delta_f": deltas}
-        if sampled:
-            # resolution stability of the directional derivative
-            resolution_shift = max(
-                resolution_shift, abs(dvf_along(unit, 2 * resolution) - dvf))
 
     # full finite-difference gradient of F, for the cosine diagnostic
     g_f = finite_diff(risk_at, psi0, fd_step)

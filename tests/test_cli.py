@@ -736,6 +736,22 @@ def test_verify_theory_violations_exit_zero(tmp_path, scenario):
     assert doc["theory"][scenario]["matches_expectation"]
 
 
+def test_verify_theory_witness_without_far_pairs(tmp_path):
+    # at this seed the two sampled radii lie within the witness's 1e-3 gap,
+    # so the witness has no far pair to check; the report writer refuses a
+    # non-finite float, so the gap must be null
+    cfg = tmp_path / "two_rows.cfg"
+    cfg.write_text("seed = 159\ntheory.scenario = orthogonality_rotation\n"
+                   "theory.n = 2\ntheory.resolution = 2\n")
+    assert run_cli("verify-theory", "--config", str(cfg),
+                   "--out", str(tmp_path), "--quiet") == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    verdict = doc["theory"]["orthogonality_rotation"]["verdict"]
+    assert verdict["diagnostics"]["witness_at_start"] == {
+        "ok": True, "violations": 0, "min_code_gap": None}
+    assert verdict["diagnostics"]["injectivity_ok"]
+
+
 def test_verify_theory_requires_scenario(tmp_path):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("seed = 1\n")

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pelab.infotheory import (_sorted_quantiles, entropy_bits, joint_codes,
+from pelab.infotheory import (_quantile_positions, _sorted_quantiles,
+                              discretize_codes, entropy_bits, joint_codes,
                               quantile_codes, rows_as_codes)
 from pelab.metrics import sufficiency_surrogate
+from pelab.theory import risk_of_cells
 
 
 def _grid_codes(x, tol=1e-9):
@@ -126,14 +128,15 @@ def test_quantile_codes_edge_columns(values, n_bins):
                           _unsorted_quantile_codes(v, n_bins))
 
 
-def _same_quantiles(ranked, qs):
-    """_sorted_quantiles(ranked, qs) equals np.quantile(ranked, qs) bit for
-    bit, up to the sign of a zero: np.quantile partitions its input, which
-    may swap -0.0 and 0.0 (they compare equal), so that sign does not
-    follow the column; adding 0.0 maps -0.0 to 0.0 and keeps every other
-    value's bits.  Quantile codes never see the sign."""
-    edges = _sorted_quantiles(ranked, qs)
-    ref = np.quantile(ranked, qs)
+def _same_quantiles(ranked, n_bins):
+    """_sorted_quantiles(ranked, n_bins) equals np.quantile(ranked, qs) at
+    the inner n_bins-quantiles qs bit for bit, up to the sign of a zero:
+    np.quantile partitions its input, which may swap -0.0 and 0.0 (they
+    compare equal), so that sign does not follow the column; adding 0.0
+    maps -0.0 to 0.0 and keeps every other value's bits.  Quantile codes
+    never see the sign."""
+    edges = _sorted_quantiles(ranked, n_bins)
+    ref = np.quantile(ranked, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
     return np.array_equal(edges, ref, equal_nan=True) \
         and (edges + 0.0).tobytes() == (ref + 0.0).tobytes()
 
@@ -142,25 +145,56 @@ def _same_quantiles(ranked, qs):
 @given(st.lists(st.one_of(_TIED, st.floats(-1e300, 1e300)), min_size=1,
                 max_size=600), st.integers(1, 130))
 def test_sorted_quantiles_match_np_quantile(values, n_bins):
-    qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-    assert _same_quantiles(np.sort(np.array(values)), qs)
+    assert _same_quantiles(np.sort(np.array(values)), n_bins)
 
 
 @pytest.mark.parametrize("n", [2, 3, 97, 4096, 5000])
 @pytest.mark.parametrize("n_bins", [2, 7, 63, 64, 129])
 def test_sorted_quantiles_match_np_quantile_on_long_columns(n, n_bins):
     rng = np.random.default_rng(n * 1000 + n_bins)
-    qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
     for column in (rng.normal(size=n), np.round(rng.normal(size=n), 1),
                    rng.integers(0, 3, n).astype(np.float64)):
-        assert _same_quantiles(np.sort(column), qs)
+        assert _same_quantiles(np.sort(column), n_bins)
 
 
 def test_sorted_quantiles_of_a_column_with_nan_are_nan():
     ranked = np.sort(np.array([1.0, np.nan, 0.5, 2.0]))
-    qs = np.linspace(0.0, 1.0, 5)[1:-1]
-    assert np.isnan(_sorted_quantiles(ranked, qs)).all()
-    assert _same_quantiles(ranked, qs)
+    assert np.isnan(_sorted_quantiles(ranked, 4)).all()
+    assert _same_quantiles(ranked, 4)
+
+
+def test_cached_quantile_positions_are_read_only():
+    for a in _quantile_positions(4096, 64):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    # a later call reads the same, unchanged arrays
+    assert _quantile_positions(4096, 64)[0] is _quantile_positions(4096, 64)[0]
+    assert _same_quantiles(np.sort(np.random.default_rng(9).normal(size=4096)),
+                           64)
+
+
+@pytest.mark.parametrize("loss", ["zero_one", "log"])
+@pytest.mark.parametrize("n_bins", [2, 8, 64, 300])
+@pytest.mark.parametrize("kind", ["normal", "ties", "sparse"])
+def test_one_column_cells_match_the_row_coder(loss, n_bins, kind):
+    # one column's quantile codes may skip the numbers of empty bins; the
+    # cells priced and counted from them keep every bit
+    rng = np.random.default_rng(n_bins)
+    col = {"normal": rng.normal(size=500),
+           "ties": np.round(rng.normal(size=500), 1),
+           "sparse": rng.integers(0, 3, 500) * 1e3}[kind]
+    labels = (col + rng.normal(size=500) > 0).astype(int)
+    w = np.full(500, 1.0 / 500)
+    post = np.eye(2)[labels]
+    cells = discretize_codes(col, n_bins=n_bins, max_dims=1)
+    renumbered = joint_codes(quantile_codes(col, n_bins))
+    assert risk_of_cells(cells, w, post, loss) == \
+        risk_of_cells(renumbered, w, post, loss)
+    assert entropy_bits(cells) == entropy_bits(renumbered)
+    assert entropy_bits(cells, w) == entropy_bits(renumbered, w)
+    assert np.array_equal(joint_codes(cells, labels),
+                          joint_codes(renumbered, labels))
 
 
 @settings(max_examples=60, deadline=None)

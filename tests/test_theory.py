@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pelab import infotheory as it
+from pelab import theory
 from pelab.errors import ContractViolation
 from pelab.numerics import Encoder, Rng, as_samples, make_encoder, matmul
 from pelab.objectives import (ObjectiveSpec, covariance_penalty_value_grad,
@@ -14,7 +15,7 @@ from pelab.theory import (_PERCEPTION_SPEC, FactorThroughTFamily,
                           _family_gradient, _posterior_loss,
                           assumption_audit, bayes_risk,
                           bayes_risk_through_encoder, empirical_bayes_risk,
-                          factorization_residual,
+                          factorization_residual, far_pairs,
                           monotone_scalar_link, orbit_merging_link,
                           orthogonality_check, over_invariance_check,
                           risk_of_cells, risk_table,
@@ -191,6 +192,43 @@ def test_risk_evaluations_per_scenario(risk_evals, scenario, evals):
     assert len(risk_evals) == evals
 
 
+@pytest.mark.parametrize("scenario, forwards", [
+    ("orthogonality_rotation", {4096: 45, 256: 17}),
+    ("merged_orbits", {4: 62}),
+    ("over_invariance_bernoulli", {})])
+def test_forwards_per_scenario(monkeypatch, scenario, forwards):
+    # one forward per parameter point: the central difference's codes
+    # price both resolutions of the resolution-shift diagnostic
+    calls = {}
+    encode = FactorThroughTFamily.codes_of_t
+
+    def counted(self, t):
+        z = encode(self, t)
+        calls[z.shape[0]] = calls.get(z.shape[0], 0) + 1
+        return z
+
+    monkeypatch.setattr(FactorThroughTFamily, "codes_of_t", counted)
+    run_scenario(scenario, seed=11)
+    assert calls == forwards
+
+
+@pytest.mark.parametrize("loss", ["zero_one", "log"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 400),
+       resolution=st.integers(2, 32), d_z=st.integers(1, 3))
+def test_empirical_bayes_risk_ignores_the_order_of_a_sampled_law(
+        loss, seed, n, resolution, d_z):
+    # the orthogonality check sorts its sampled law by orbit value
+    world = make_rotation_world()
+    law = sample_law(world, Rng(seed), n)
+    codes = make_encoder("mlp1", 2, d_z, 5, Rng(seed),
+                         init_scale=2.0).forward(law.x)
+    perm = np.random.default_rng(seed).permutation(n)
+    shuffled = Atoms(law.x[perm], law.weight[perm], law.posterior[perm])
+    assert empirical_bayes_risk(codes[perm], shuffled, loss, resolution) == \
+        empirical_bayes_risk(codes, law, loss, resolution)
+
+
 # ---------------------------------------------------------------------------
 # task risk of concrete heads
 # ---------------------------------------------------------------------------
@@ -251,9 +289,15 @@ def _dense_witness(family, t, in_gap=1e-3, out_tol=1e-9):
     dz = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
     mask = dt >= in_gap
     violations = int(np.sum(dz[mask] < out_tol) // 2)
-    min_dz = float(dz[mask].min()) if mask.any() else float("inf")
+    min_dz = float(dz[mask].min()) if mask.any() else None
     return {"ok": violations == 0, "violations": violations,
             "min_code_gap": min_dz}
+
+
+def _steep_inner(rng, d_out):
+    # steep tanh units saturate to exactly +-1, so some far pairs share a code
+    return Encoder("mlp1", 40.0 * rng.normal(size=(4, 1)), rng.normal(size=4),
+                   rng.normal(size=(d_out, 4)), np.zeros(d_out))
 
 
 @pytest.mark.parametrize("d_out", [1, 2, 3])
@@ -261,12 +305,40 @@ def _dense_witness(family, t, in_gap=1e-3, out_tol=1e-9):
 def test_injectivity_witness_matches_dense_oracle(d_out, m):
     world = make_rotation_world()
     rng = np.random.default_rng(d_out * 10_000 + m)
-    # steep tanh units saturate to exactly +-1, so some far pairs share a code
-    inner = Encoder("mlp1", 40.0 * rng.normal(size=(4, 1)), rng.normal(size=4),
-                    rng.normal(size=(d_out, 4)), np.zeros(d_out))
-    family = FactorThroughTFamily(world, inner)
+    family = FactorThroughTFamily(world, _steep_inner(rng, d_out))
     t = np.round(rng.uniform(0.5, 1.5, m), 3)
     assert family.injectivity_witness(t) == _dense_witness(family, t)
+
+
+def test_injectivity_witness_reuses_one_pair_set_across_inner_maps():
+    world = make_rotation_world()
+    rng = np.random.default_rng(8)
+    t = np.round(rng.uniform(0.5, 1.5, 1000), 3)
+    pairs = far_pairs(t)
+    seen_violation = False
+    for d_out in (1, 2, 3):
+        for inner in (_steep_inner(rng, d_out),
+                      make_encoder("mlp1", 1, d_out, 5, Rng(d_out))):
+            family = FactorThroughTFamily(world, inner)
+            wit = family.injectivity_witness(t, pairs=pairs)
+            assert wit == _dense_witness(family, t)
+            seen_violation = seen_violation or not wit["ok"]
+    assert seen_violation   # the steep maps exercise the violation count
+
+
+@pytest.mark.parametrize("scenario", ["orthogonality_rotation",
+                                      "merged_orbits"])
+def test_orthogonality_check_builds_its_pair_set_once(monkeypatch, scenario):
+    calls = []
+    build = theory.far_pairs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(theory, "far_pairs", counted)
+    run_scenario(scenario, seed=11)
+    assert len(calls) == 1
 
 
 def test_injectivity_witness_detects_merge():
