@@ -35,7 +35,7 @@ curve1 = invariance_curve(enc1, world, grid, 4096, Rng(1000))
 print(f"\ninvariance-curve AUC: {curve0.auc:.2f} (untrained) -> "
       f"{curve1.auc:.2f} (trained), ratio {curve1.auc / curve0.auc:.3f}")
 
-z = enc1.forward(world.sample_x(Rng(2000), 4096))
+z = enc1.forward(world.sample_xy(Rng(2000), 4096)[0])
 geo = geometry_diagnostics(z, gamma=1.0)
 print("per-dimension variance after training:",
       [round(v, 3) for v in geo["per_dim_variance"]],

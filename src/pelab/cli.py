@@ -70,7 +70,7 @@ def _light_snapshot(enc, world, opts, chash: str, seed: int,
     Deterministic per (seed, step)."""
     opts = replace(opts, n=min(opts.n, 2048))
     rng = Rng(seed * 1_000_003 + step)
-    z = enc.forward(world.sample_x(rng, opts.n))
+    z = enc.forward(world.sample_xy(rng, opts.n)[0])
     snap = certify(MetricInputs(z=z, encoder=enc, world=world), opts,
                    {"invariance_auc": rng}, names=("geometry", "invariance_auc"),
                    config_hash=chash, seed=seed)

@@ -69,7 +69,7 @@ def invariance_curve(enc: Encoder, world: World, grid, n: int, rng: Rng) -> Curv
     if not world.transforms.magnitude_parameterized:
         raise NotApplicableError(
             f"world {world.name!r} has no magnitude-parameterized transforms")
-    x = world.sample_x(rng, n)
+    x = world.sample_xy(rng, n)[0]
     z = enc.forward(x)
     values = np.empty(grid.size)
     for i, alpha in enumerate(grid):
@@ -132,7 +132,7 @@ def normalized_mi(zbatch, v, n_bins: int = 8, max_dims: int = 2) -> float:
 def smoothness(enc: Encoder, world: World, n: int, rng: Rng) -> float:
     """Monte Carlo E||d f / d x||_F^2 (Jacobian energy), from the Jacobians
     of the whole sample at once."""
-    x = world.sample_x(rng, n)
+    x = world.sample_xy(rng, n)[0]
     jac = enc.input_jacobians(x)
     return float(np.mean(np.sum((jac * jac).reshape(len(jac), -1), axis=1)))
 
@@ -164,7 +164,7 @@ def fisher_trace(enc: Encoder, world: World, n: int, rng: Rng,
     if not fam.smooth:
         raise NotApplicableError(
             f"transform family {fam.kind!r} is not smooth in delta")
-    x = world.sample_x(rng, n)
+    x = world.sample_xy(rng, n)[0]
     zp = enc.forward(fam.apply(np.full(n, step), x))
     zm = enc.forward(fam.apply(np.full(n, -step), x))
     j = (zp - zm) / (2.0 * step)
@@ -351,14 +351,10 @@ def probe_data_efficiency(enc: Encoder, world: World, label_budgets,
     if max(budgets) > pool_n:
         raise ContractViolation(
             f"budget {max(budgets)} exceeds available pool of {pool_n}")
-    if world.label_fn is None:
-        raise NotApplicableError(f"world {world.name!r} exposes no labels")
     data_rng, probe_rng = rng.split(2)
-    x_pool = world.sample_x(data_rng, pool_n)
-    y_pool = world.label_fn(x_pool)
+    x_pool, y_pool = world.sample_xy(data_rng, pool_n)
     z_pool = enc.forward(x_pool)
-    x_test = world.sample_x(data_rng, heldout_n)
-    y_test = world.label_fn(x_test)
+    x_test, y_test = world.sample_xy(data_rng, heldout_n)
     z_test = enc.forward(x_test)
     acc = {}
     for budget in budgets:

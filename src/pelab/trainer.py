@@ -164,13 +164,10 @@ def train_head(frozen_enc, world: World, rng: Rng, label_budget: int,
     """
     if label_budget < 2:
         raise ContractViolation("label budget must be >= 2")
-    if world.label_fn is None:
-        raise ContractViolation(f"world {world.name!r} exposes no labels")
     params_before = frozen_enc.get_flat_params().tobytes()
     mutations_before = frozen_enc.mutation_count
 
-    x = world.sample_x(rng, label_budget)
-    y = world.label_fn(x)
+    x, y = world.sample_xy(rng, label_budget)
     z = frozen_enc.forward(x)
     head = fit_linear_probe(z, y, rng, **probe_kw)
 

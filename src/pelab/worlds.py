@@ -1,9 +1,11 @@
 """Synthetic data sources with known group structure.
 
-Each world bundles: an input sampler, a transform family with its sampling
-measure, an orbit map constant on group orbits, an optional nuisance variable,
-optional generative factors, and a label function.  Labels exist for the
-theory/probe code paths only; perception training never reads them.
+Each world bundles: one joint law of (X, Y) (``sample_xy`` draws inputs with
+their labels; ``posterior`` is P(Y | X), which every exact, discretized and
+orbit law reads), a transform family with its sampling measure, an orbit map
+constant on group orbits, an optional nuisance variable, and optional
+generative factors.  Labels exist for the theory/probe code paths only;
+perception training never reads them.
 
 Three worlds are provided:
 
@@ -128,7 +130,7 @@ class Atoms:
     one row of ``x`` per atom, its probability mass, and P(Y | X=x).
     ``World.t_atoms`` gives the law of (T, Y) in the same form, with the
     orbit values in ``x``; ``sample_law`` gives the empirical law of a
-    sample."""
+    sample, with the one-hot posterior of each drawn label."""
     x: np.ndarray          # (m, d_x), or the orbit values (m,) or (m, k)
     weight: np.ndarray     # (m,), sums to 1
     posterior: np.ndarray  # (m, n_classes)
@@ -139,13 +141,13 @@ class World:
     name: str
     d_x: int
     transforms: object
-    sample_x: object                    # (rng, n) -> (n, d_x)
+    sample_xy: object                   # (rng, n) -> (n, d_x), (n,) labels
+    posterior: object                   # (X) -> (n, n_classes), P(Y | X)
     orbit_map: object                   # (X) -> (n,) or (n, k)
     nuisance: object = None             # (X, deltas) -> (n,)
     factors: object = None              # (X) -> (n, n_factors)
     factor_names: list = field(default_factory=list)
-    label_fn: object = None             # (X) -> (n,) int labels
-    a1_invariant: bool = False          # label constant on group orbits
+    a1_invariant: bool = False          # posterior constant on group orbits
     n_classes: int = 0
     atoms: object = None                # () -> Atoms, exact (discrete X only)
     discretized_atoms: object = None    # (resolution) -> Atoms
@@ -181,23 +183,20 @@ def sample_batch(world: World, n: int, rng: Rng, sigma=None,
     passed to the family's ``sample_delta`` (the trainer's view spread)."""
     if n < 1:
         raise ContractViolation("sample_batch requires n >= 1")
-    x = world.sample_x(rng, n)
+    x, y = world.sample_xy(rng, n)
     deltas = world.transforms.sample_delta(rng, n, sigma)
     x_plus = world.transforms.apply(deltas, x)
     v = world.nuisance(x, deltas) if world.nuisance is not None else None
     t = world.orbit_map(x)
-    y = None
-    if with_labels and world.label_fn is not None:
-        y = world.label_fn(x)
-    return Batch(x, x_plus, deltas, v, t, y)
+    return Batch(x, x_plus, deltas, v, t, y if with_labels else None)
 
 
 def sample_law(world: World, rng: Rng, n: int) -> Atoms:
-    """The empirical law of n inputs drawn by ``world.sample_x(rng, n)``:
-    one atom per row, of mass 1/n, with the one-hot posterior of its label."""
-    x = world.sample_x(rng, n)
-    return Atoms(x, np.full(n, 1.0 / n),
-                 np.eye(world.n_classes)[world.label_fn(x)])
+    """The empirical law of n pairs drawn by ``world.sample_xy(rng, n)``:
+    one atom per row, of mass 1/n, with the one-hot posterior of its drawn
+    label."""
+    x, y = world.sample_xy(rng, n)
+    return Atoms(x, np.full(n, 1.0 / n), np.eye(world.n_classes)[y])
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +211,24 @@ def make_rotation_world(r_min: float = 0.5, r_max: float = 1.5,
     Radii are uniform on [r_min, r_max] when ``radius_values`` is empty, or
     uniform over those discrete values (which makes the orbit statistic
     finitely supported and all Bayes-risk oracles exact).
-    The label 1[r > median radius] depends on the orbit only, so the
-    group-invariance flag is true.
+    The label 1[r > threshold] depends on the orbit only, so the
+    group-invariance flag is true.  The threshold is the middle of
+    [r_min, r_max], or the midpoint between the largest discrete radius at
+    or below the median and the next one up: no radius sits on it, so
+    rounding in |x| cannot flip a label.
     """
     family = RotationFamily()
     if len(radius_values):
         radii = np.sort(np.asarray(radius_values, dtype=np.float64))
-        if radii.size < 2:
-            raise ConfigurationError("radius_values must hold at least two "
-                                     f"values, got {tuple(radius_values)!r}")
-        threshold = float(np.median(radii))
+        distinct = np.unique(radii)
+        if distinct.size < 2:
+            raise ConfigurationError(
+                "radius_values must hold at least two distinct values, "
+                f"got {tuple(radius_values)!r}")
+        # a median equal to the largest radius splits below it
+        k = min(int(np.searchsorted(distinct, np.median(radii), "right")),
+                distinct.size - 1)
+        threshold = 0.5 * float(distinct[k - 1] + distinct[k])
 
         def sample_r(rng, n):
             return rng.choice(radii, size=n)
@@ -232,16 +239,17 @@ def make_rotation_world(r_min: float = 0.5, r_max: float = 1.5,
         def sample_r(rng, n):
             return rng.uniform(r_min, r_max, n)
 
-    def sample_x(rng, n):
+    def sample_xy(rng, n):
         r = sample_r(rng, n)
         theta = rng.uniform(0.0, 2.0 * np.pi, n)
-        return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+        x = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+        return x, (r > threshold).astype(np.int64)
 
     def orbit_map(x):
         return np.linalg.norm(x, axis=1)
 
-    def label_fn(x):
-        return (orbit_map(x) > threshold).astype(np.int64)
+    def posterior(x):
+        return np.eye(2)[(orbit_map(x) > threshold).astype(np.int64)]
 
     def factors(x):
         return np.column_stack([orbit_map(x), np.arctan2(x[:, 1], x[:, 0])])
@@ -250,20 +258,21 @@ def make_rotation_world(r_min: float = 0.5, r_max: float = 1.5,
         name="rotation",
         d_x=2,
         transforms=family,
-        sample_x=sample_x,
+        sample_xy=sample_xy,
+        posterior=posterior,
         orbit_map=orbit_map,
         nuisance=lambda x, deltas: np.asarray(deltas, dtype=np.float64),
         factors=factors,
         factor_names=["radius", "angle"],
-        label_fn=label_fn,
         a1_invariant=True,
         n_classes=2,
     )
 
     if radii is not None:
         def t_atoms():
+            # the posterior is constant on each orbit: read it at (r, 0)
             return Atoms(radii.copy(), np.full(radii.size, 1.0 / radii.size),
-                         np.eye(2)[(radii > threshold).astype(np.int64)])
+                         posterior(radii[:, None] * [1.0, 0.0]))
 
         world.t_atoms = t_atoms
 
@@ -278,7 +287,7 @@ def make_rotation_world(r_min: float = 0.5, r_max: float = 1.5,
         rr, tt = np.meshgrid(r_grid, theta, indexing="ij")
         x = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
         w = np.repeat(r_w / resolution, resolution)
-        return Atoms(x, w, np.eye(2)[label_fn(x)])
+        return Atoms(x, w, posterior(x))
 
     world.discretized_atoms = discretized_atoms
     return world
@@ -293,26 +302,27 @@ def make_bernoulli_uv_world() -> World:
     """
     family = FlipVFamily()
 
-    def sample_x(rng, n):
-        return rng.integers(0, 2, size=(n, 2)).astype(np.float64)
+    def sample_xy(rng, n):
+        x = rng.integers(0, 2, size=(n, 2))
+        return x.astype(np.float64), x[:, 1]
 
     world = World(
         name="bernoulli_uv",
         d_x=2,
         transforms=family,
-        sample_x=sample_x,
+        sample_xy=sample_xy,
+        posterior=lambda x: np.eye(2)[x[:, 1].astype(np.int64)],
         orbit_map=lambda x: x[:, 0].copy(),
         nuisance=lambda x, deltas: x[:, 1].copy(),
         factors=lambda x: x.copy(),
         factor_names=["u", "v"],
-        label_fn=lambda x: x[:, 1].astype(np.int64),
         a1_invariant=False,
         n_classes=2,
     )
 
     def atoms() -> Atoms:
         x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        return Atoms(x, np.full(4, 0.25), np.eye(2)[x[:, 1].astype(int)])
+        return Atoms(x, np.full(4, 0.25), world.posterior(x))
 
     def t_atoms():
         t = np.array([0.0, 1.0])
@@ -329,14 +339,15 @@ def make_six_nine_world(center_x: float = 3.0, center_y: float = 0.0,
                         sigma: float = 0.5) -> World:
     """Two Gaussian clusters at +c (class 0) and -c (class 1); the group is
     the 180-degree rotation, which maps each cluster onto the other, so the
-    label is not invariant.  c = (center_x, center_y)."""
+    label is not invariant.  c = (center_x, center_y).  The label is the
+    drawn cluster; its posterior weighs the two clusters' densities."""
     c = np.array([center_x, center_y], dtype=np.float64)
     family = NegationFamily()
 
-    def sample_x(rng, n):
+    def sample_xy(rng, n):
         y = rng.integers(0, 2, size=n)
         signs = (1.0 - 2.0 * y)[:, None]
-        return signs * c + sigma * rng.normal(size=(n, 2))
+        return signs * c + sigma * rng.normal(size=(n, 2)), y
 
     def orbit_map(x):
         # canonical representative: the lexicographically larger of {x, -x}
@@ -345,39 +356,36 @@ def make_six_nine_world(center_x: float = 3.0, center_y: float = 0.0,
         out[flip] *= -1.0
         return out
 
-    def label_fn(x):
-        d_pos = np.linalg.norm(x - c, axis=1)
-        d_neg = np.linalg.norm(x + c, axis=1)
-        return (d_neg < d_pos).astype(np.int64)
+    def densities(x):   # (n, 2), unnormalized
+        d_pos = np.sum((x - c) ** 2, axis=1)
+        d_neg = np.sum((x + c) ** 2, axis=1)
+        return np.column_stack([np.exp(-0.5 * d_pos / sigma ** 2),
+                                np.exp(-0.5 * d_neg / sigma ** 2)])
+
+    def posterior(x):
+        g = densities(x)
+        return g / g.sum(axis=1, keepdims=True)
 
     world = World(
         name="six_nine",
         d_x=2,
         transforms=family,
-        sample_x=sample_x,
+        sample_xy=sample_xy,
+        posterior=posterior,
         orbit_map=orbit_map,
         nuisance=lambda x, deltas: np.asarray(deltas, dtype=np.float64),
-        label_fn=label_fn,
         a1_invariant=False,
         n_classes=2,
     )
-    world.center = c
-    world.sigma = sigma
 
     def discretized_atoms(resolution: int) -> Atoms:
         lim = np.abs(c).max() + 4.0 * sigma
         axis = np.linspace(-lim, lim, resolution)
         xx, yy = np.meshgrid(axis, axis, indexing="ij")
         x = np.column_stack([xx.ravel(), yy.ravel()])
-        d_pos = np.sum((x - c) ** 2, axis=1)
-        d_neg = np.sum((x + c) ** 2, axis=1)
-        g_pos = np.exp(-0.5 * d_pos / sigma ** 2)
-        g_neg = np.exp(-0.5 * d_neg / sigma ** 2)
-        w = 0.5 * (g_pos + g_neg)
+        w = densities(x).sum(axis=1)
         w /= w.sum()
-        post = np.column_stack([g_pos, g_neg])
-        post /= post.sum(axis=1, keepdims=True)
-        return Atoms(x, w, post)
+        return Atoms(x, w, posterior(x))
 
     world.discretized_atoms = discretized_atoms
     return world

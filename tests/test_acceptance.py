@@ -53,8 +53,7 @@ def test_criterion_02_over_invariance_reproduction():
         rng = Rng(seed)
         head_bad = train_head(enc_bad, world, rng, label_budget=10_000)
         head_good = train_head(enc_good, world, rng, label_budget=10_000)
-        x = world.sample_x(Rng(seed + 100), 4096)
-        y = world.label_fn(x)
+        x, y = world.sample_xy(Rng(seed + 100), 4096)
         accs_bad.append(float(np.mean(head_bad.predict(enc_bad.forward(x)) == y)))
         accs_good.append(float(np.mean(head_good.predict(enc_good.forward(x)) == y)))
     elapsed = time.time() - t0
@@ -151,7 +150,7 @@ def test_criterion_06_perception_training_effect():
         enc1, _ = train_perception(world, enc0, cfg)
         auc0 = invariance_curve(enc0, world, grid, 4096, Rng(seed + 1000)).auc
         auc1 = invariance_curve(enc1, world, grid, 4096, Rng(seed + 1000)).auc
-        z = enc1.forward(world.sample_x(Rng(seed + 2000), 4096))
+        z = enc1.forward(world.sample_xy(Rng(seed + 2000), 4096)[0])
         min_var = min(geometry_diagnostics(z, gamma)["per_dim_variance"])
         results.append((auc1 / auc0, min_var))
     elapsed = time.time() - t0

@@ -646,7 +646,11 @@ def test_train_setting_out_of_range_exits_2(tmp_path, capsys, line, message):
      "'orthogonality_rotation', 'over_invariance_bernoulli', "
      "'merged_orbits'), got 'bogus'"),
     (["world.radius_values = 1.0"],
-     "world.radius_values must hold at least two values, got (1.0,)"),
+     "world.radius_values must hold at least two distinct values, "
+     "got (1.0,)"),
+    (["world.radius_values = 0.7, 0.7"],
+     "world.radius_values must hold at least two distinct values, "
+     "got (0.7, 0.7)"),
     (["encoder.d_hidden = 0"], "encoder.d_hidden must be >= 1, got 0"),
     (["metrics.n = 0"], "metrics.n must be >= 1, got 0"),
     (["encoder.init_scale = inf"], "encoder.init_scale must be finite, got inf"),
@@ -666,7 +670,8 @@ def test_train_setting_out_of_range_exits_2(tmp_path, capsys, line, message):
         "center_x_nan",
         "center_y_infinite", "sigma_infinite", "world_kind_unknown",
         "encoder_arch_unknown", "theory_scenario_unknown",
-        "radius_values_one", "d_hidden_zero", "metrics_n_zero",
+        "radius_values_one", "radius_values_repeated", "d_hidden_zero",
+        "metrics_n_zero",
         "init_scale_inf", "alpha_max_inf", "risk_table_off_two_bit_world",
         "risk_table_exact_off_two_bit_world"])
 def test_setting_rejected_before_any_work(tmp_path, capsys, lines, message):
@@ -700,7 +705,10 @@ def test_builder_parameters_are_config_keys():
             assert f"encoder.{name}" in SCHEMA, name
     cfg = parse_config_text("world.kind = six_nine\nworld.center_x = 1\n"
                             "world.center_y = -2\n")
-    assert tuple(cfg.world.center) == (1, -2)
+    # class 0 sits at +c, class 1 at -c, with c = (1, -2)
+    post = cfg.world.posterior(np.array([[1.0, -2.0], [-1.0, 2.0]]))
+    assert np.array_equal(post.argmax(axis=1), [0, 1])
+    assert post[0, 0] == post[1, 1] > 1.0 - 1e-12
 
 
 def test_certify_duplicate_column_exits_2(tmp_path, capsys):

@@ -189,7 +189,7 @@ def test_smoothness_quadratic_homogeneity(rotation_world):
 
 def _pointwise_smoothness(enc, world, n, rng):
     """smoothness as one input_jacobian call per sampled point."""
-    x = world.sample_x(rng, n)
+    x = world.sample_xy(rng, n)[0]
     return float(np.mean([np.sum(enc.input_jacobian(xi) ** 2) for xi in x]))
 
 

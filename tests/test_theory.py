@@ -177,10 +177,9 @@ def test_empirical_bayes_risk_of_sampled_law_matches_labels_formula(
     world = _SAMPLED_WORLDS[kind]()
     enc = make_encoder("mlp1", 2, d_z, 5, Rng(seed), init_scale=2.0)
     law = sample_law(world, Rng(seed), n)
-    x = world.sample_x(Rng(seed), n)
+    x, y = world.sample_xy(Rng(seed), n)
     assert empirical_bayes_risk(enc.forward(law.x), law, loss, resolution) \
-        == _labels_risk(enc.forward(x), world.label_fn(x), loss, resolution,
-                        world.n_classes)
+        == _labels_risk(enc.forward(x), y, loss, resolution, world.n_classes)
 
 
 @pytest.mark.parametrize("scenario, evals", [
@@ -275,7 +274,7 @@ def test_task_risk_dominated_by_bayes(bernoulli_world):
 
 def test_factorization_residual_is_zero(rotation_world, rng):
     family = FactorThroughTFamily(rotation_world, monotone_scalar_link())
-    x = rotation_world.sample_x(rng, 500)
+    x = rotation_world.sample_xy(rng, 500)[0]
     assert factorization_residual(family, x) <= 1e-12
 
 
@@ -488,13 +487,48 @@ def test_two_stage_constant_encoder_prior_risk_exact():
     enc = Encoder("linear", np.zeros((2, 2)), np.ones(2))
     rng = Rng(63)
     head = train_head(enc, world, rng, label_budget=2048)
-    x_eval = world.sample_x(Rng(64), 4096)
-    y_eval = world.label_fn(x_eval)
+    x_eval, y_eval = world.sample_xy(Rng(64), 4096)
     preds = head.predict(enc.forward(x_eval))
     assert np.unique(preds).size == 1  # the head can only predict the prior
     assert preds[0] == 0               # majority class
     risk = float(np.mean(preds != y_eval))
     assert risk == float(np.mean(y_eval == 1))
+
+
+# six_nine with overlapping clusters: F(X) over the law discretized at 256
+_SIX_NINE_SIGMA2_BAYES = 0.0668
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_two_stage_on_overlapping_clusters_does_not_beat_bayes(seed):
+    # a head trained and scored on the drawn labels cannot beat the Bayes
+    # risk by more than 3 standard errors at n_eval = 4 096
+    world = make_six_nine_world(sigma=2.0)
+    verdict = two_stage_check(world, identity_encoder(2), Rng(seed))
+    assert abs(verdict.measured["bayes_risk_full"]
+               - _SIX_NINE_SIGMA2_BAYES) <= 1e-4
+    assert verdict.measured["gap"] >= -0.012
+    assert verdict.passed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_risk_of_one_coordinate_of_overlapping_clusters(seed):
+    # x_0 carries all the information about the class (c lies on the first
+    # axis), so the sampled F of x_0 estimates the Bayes risk of X
+    world = make_six_nine_world(sigma=2.0)
+    enc = Encoder("linear", np.array([[1.0, 0.0]]), np.zeros(1))
+    f = bayes_risk_through_encoder(enc, world, "zero_one", resolution=64,
+                                   n=4096, rng=Rng(seed))
+    assert abs(f - _SIX_NINE_SIGMA2_BAYES) <= 0.015
+
+
+def test_assumption_audit_a1_passes_with_an_odd_count_of_radii():
+    # the median radius is not the label threshold, so rotating a point on
+    # the median orbit cannot move its posterior
+    world = make_rotation_world(radius_values=(0.3, 0.7, 1.1))
+    verdicts = {v.name: v for v in assumption_audit(world, Rng(0))}
+    assert verdicts["A1_label_invariance"].measured["violations"] == 0
+    assert verdicts["A1_label_invariance"].passed
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from pelab.errors import ConfigurationError, ContractViolation, DivergenceError
 from pelab.numerics import Encoder, Rng, make_encoder
 from pelab.objectives import ObjectiveSpec, perc_loss
 from pelab.trainer import TrainConfig, train_head, train_perception
-from pelab.worlds import make_rotation_world, sample_batch
+from pelab.worlds import sample_batch
 
 from conftest import identity_encoder
 
@@ -164,18 +164,16 @@ def test_head_training_never_mutates_encoder(bernoulli_world):
 def test_head_on_full_code_is_accurate(bernoulli_world):
     head = train_head(identity_encoder(2), bernoulli_world, Rng(9),
                       label_budget=4096)
-    x = bernoulli_world.sample_x(Rng(10), 4096)
-    acc = float(np.mean(head.predict(identity_encoder(2).forward(x))
-                        == bernoulli_world.label_fn(x)))
+    x, y = bernoulli_world.sample_xy(Rng(10), 4096)
+    acc = float(np.mean(head.predict(identity_encoder(2).forward(x)) == y))
     assert acc >= 0.99
 
 
 def test_head_on_invariant_code_is_chance(bernoulli_world):
     enc = Encoder("linear", np.array([[1.0, 0.0]]), np.zeros(1))  # z = U
     head = train_head(enc, bernoulli_world, Rng(11), label_budget=8192)
-    x = bernoulli_world.sample_x(Rng(12), 4096)
-    acc = float(np.mean(head.predict(enc.forward(x))
-                        == bernoulli_world.label_fn(x)))
+    x, y = bernoulli_world.sample_xy(Rng(12), 4096)
+    acc = float(np.mean(head.predict(enc.forward(x)) == y))
     assert 0.45 <= acc <= 0.55
 
 
@@ -183,7 +181,3 @@ def test_head_requires_labels_and_budget(rotation_world, rng):
     enc = identity_encoder(2)
     with pytest.raises(ContractViolation):
         train_head(enc, rotation_world, rng, label_budget=1)
-    world_no_labels = make_rotation_world()
-    world_no_labels.label_fn = None
-    with pytest.raises(ContractViolation):
-        train_head(enc, world_no_labels, rng, label_budget=64)

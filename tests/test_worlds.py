@@ -3,11 +3,11 @@ import inspect
 import numpy as np
 import pytest
 
-from pelab.errors import ContractViolation
+from pelab.errors import ConfigurationError, ContractViolation
 from pelab.numerics import Rng
 from pelab.worlds import (WORLD_BUILDERS, export_batch_csv, make_rotation_world,
-                          rho_batch,
-                          sample_batch, sample_law)
+                          make_six_nine_world, rho_batch, sample_batch,
+                          sample_law)
 
 
 def test_rotation_orbit_map_is_radius(rotation_world):
@@ -23,9 +23,8 @@ def test_rotation_half_turn(rotation_world):
 
 def test_rotation_label_invariant_on_samples(rotation_world, rng):
     batch = sample_batch(rotation_world, 10_000, rng)
-    y = rotation_world.label_fn(batch.x)
-    yt = rotation_world.label_fn(batch.x_plus)
-    assert int(np.sum(y != yt)) == 0
+    assert np.array_equal(rotation_world.posterior(batch.x),
+                          rotation_world.posterior(batch.x_plus))
 
 
 def test_bernoulli_flip_action(bernoulli_world):
@@ -55,16 +54,15 @@ def test_bernoulli_empirical_bit_frequency(bernoulli_world):
 
 
 def test_six_nine_rotation_swaps_clusters(six_nine_world):
-    rng = Rng(5)
-    x = six_nine_world.sample_x(rng, 4000)
-    y = six_nine_world.label_fn(x)
+    c, sigma = np.array([3.0, 0.0]), 0.5   # make_six_nine_world's defaults
+    x, y = six_nine_world.sample_xy(Rng(5), 4000)
     x0 = x[y == 0]
     rotated = six_nine_world.transforms.apply(np.ones(x0.shape[0]), x0)
     # rotating class 0 lands in the class-1 region; the 3-sigma box around
     # -c captures it (the Euclidean 3-sigma ball only holds 98.9% mass in 2d)
-    assert np.mean(six_nine_world.label_fn(rotated) == 1) >= 0.99
-    box = np.all(np.abs(rotated - (-six_nine_world.center))
-                 <= 3.0 * six_nine_world.sigma, axis=1)
+    assert np.mean(six_nine_world.posterior(rotated).argmax(axis=1) == 1) \
+        >= 0.99
+    box = np.all(np.abs(rotated + c) <= 3.0 * sigma, axis=1)
     assert np.mean(box) >= 0.99
 
 
@@ -83,9 +81,9 @@ def test_a1_flags(rotation_world, bernoulli_world, six_nine_world):
 def test_a1_false_worlds_have_violating_pairs(bernoulli_world, six_nine_world):
     for world in (bernoulli_world, six_nine_world):
         batch = sample_batch(world, 1000, Rng(8))
-        y = world.label_fn(batch.x)
-        yt = world.label_fn(batch.x_plus)
-        assert int(np.sum(y != yt)) > 0, world.name
+        moved = np.any(world.posterior(batch.x)
+                       != world.posterior(batch.x_plus), axis=1)
+        assert int(np.sum(moved)) > 0, world.name
 
 
 def test_sample_batch_rejects_empty(rotation_world, rng):
@@ -221,19 +219,92 @@ def test_batch_csv_round_trip(tmp_path, bernoulli_world):
     assert np.array_equal(rows[:, 7], batch.y.astype(float))
 
 
-@pytest.mark.parametrize("kind", sorted(WORLD_BUILDERS))
-def test_sample_law_draws_what_sample_x_draws(kind):
-    # the same rows from equal seeds, each of mass 1/n with its one-hot
-    # label, and the stream left where sample_x leaves it
-    world = WORLD_BUILDERS[kind]()
-    rng_law, rng_x = Rng(7), Rng(7)
-    law = sample_law(world, rng_law, 300)
-    x = world.sample_x(rng_x, 300)
-    assert np.array_equal(law.x, x)
-    assert np.array_equal(law.weight, np.full(300, 1.0 / 300))
-    assert law.posterior.shape == (300, world.n_classes)
-    assert np.array_equal(law.posterior.argmax(axis=1), world.label_fn(x))
-    assert np.array_equal(np.sort(law.posterior, axis=1)[:, -1], np.ones(300))
-    assert np.count_nonzero(law.posterior) == 300
+# every builder at its defaults, plus a rotation world with discrete radii
+# (exact orbit atoms) and a six_nine world whose clusters overlap
+_CONTRACT_WORLDS = {
+    **WORLD_BUILDERS,
+    "rotation_radii": lambda: make_rotation_world(
+        radius_values=(0.3, 0.7, 1.1)),
+    "six_nine_sigma2": lambda: make_six_nine_world(sigma=2.0),
+}
+# worlds whose label is a function of x, so the posterior is one-hot
+_DETERMINISTIC = {"rotation", "bernoulli_uv", "rotation_radii"}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT_WORLDS))
+def test_world_contract(name):
+    """One joint law per world: ``sample_xy`` draws (x, y), ``posterior``
+    is P(Y | x), and every law and check reads those two."""
+    world = _CONTRACT_WORLDS[name]()
+    n = 300
+    x, y = world.sample_xy(Rng(7), n)
+    assert x.shape == (n, world.d_x) and y.shape == (n,)
+    assert y.dtype == np.int64
+    assert y.min() >= 0 and y.max() < world.n_classes
+    post = world.posterior(x)
+    assert post.shape == (n, world.n_classes)
+    assert np.all(post >= 0.0)
+    assert np.allclose(post.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    if name in _DETERMINISTIC:
+        assert np.array_equal(post.argmax(axis=1), y)
+        assert np.array_equal(post.max(axis=1), np.ones(n))
+
+    # sample_law and sample_batch draw the same rows and labels from equal
+    # seeds; sample_law leaves the stream where sample_xy leaves it, and
+    # sample_batch where sample_xy and the family's deltas leave it
+    rng_xy, rng_law, rng_batch, rng_views = Rng(7), Rng(7), Rng(7), Rng(7)
+    world.sample_xy(rng_xy, n)
+    law = sample_law(world, rng_law, n)
+    batch = sample_batch(world, n, rng_batch)
+    world.sample_xy(rng_views, n)
+    world.transforms.sample_delta(rng_views, n)
+    assert np.array_equal(law.x, x) and np.array_equal(batch.x, x)
+    assert np.array_equal(batch.y, y)
+    assert np.array_equal(law.weight, np.full(n, 1.0 / n))
+    assert np.array_equal(law.posterior, np.eye(world.n_classes)[y])
     assert rng_law.uniform(0.0, 1.0, 4).tolist() == \
-        rng_x.uniform(0.0, 1.0, 4).tolist()
+        rng_xy.uniform(0.0, 1.0, 4).tolist()
+    assert rng_batch.uniform(0.0, 1.0, 4).tolist() == \
+        rng_views.uniform(0.0, 1.0, 4).tolist()
+
+    # every exact or discretized law of X reads the world's posterior
+    laws = [world.atoms()] if world.atoms is not None else []
+    if world.discretized_atoms is not None:
+        laws.append(world.discretized_atoms(16))
+    assert laws
+    for exact in laws:
+        assert np.isclose(exact.weight.sum(), 1.0, rtol=0.0, atol=1e-12)
+        assert np.array_equal(exact.posterior, world.posterior(exact.x))
+
+    # A1 holds exactly when the posterior is constant on sampled orbits
+    batch = sample_batch(world, 1000, Rng(8))
+    same = np.array_equal(world.posterior(batch.x),
+                          world.posterior(batch.x_plus))
+    assert same == world.a1_invariant
+
+
+@pytest.mark.parametrize("radii, threshold", [
+    ((0.3, 0.7, 1.1), 0.9),          # odd count: the median is a radius
+    ((0.5, 0.7, 0.7), 0.6),          # the median is the largest radius
+    ((0.7, 0.7, 1.1, 0.3), 0.9),     # a repeated median
+])
+def test_discrete_radius_threshold_sits_between_radii(radii, threshold):
+    # no radius sits on the threshold, so rounding in |x| cannot flip a
+    # label: the orbit atoms, the drawn labels and the posterior of every
+    # sampled row split at the threshold, and A1 holds on every orbit
+    world = make_rotation_world(radius_values=radii)
+    law = world.t_atoms()
+    assert np.array_equal(law.posterior[:, 1], law.x > threshold)
+    x, y = world.sample_xy(Rng(3), 20_000)
+    assert np.array_equal(y, np.linalg.norm(x, axis=1) > threshold)
+    assert np.array_equal(world.posterior(x).argmax(axis=1), y)
+    batch = sample_batch(world, 10_000, Rng(4))
+    assert np.array_equal(world.posterior(batch.x),
+                          world.posterior(batch.x_plus))
+
+
+@pytest.mark.parametrize("radii", [(0.7,), (0.7, 0.7), (1.0, 1.0, 1.0)])
+def test_rotation_world_rejects_fewer_than_two_distinct_radii(radii):
+    with pytest.raises(ConfigurationError,
+                       match="at least two distinct values"):
+        make_rotation_world(radius_values=radii)
