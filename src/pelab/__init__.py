@@ -31,10 +31,10 @@ from .metrics import (Curve, MetricInputs, MetricReport, MetricSuiteOptions,
                       fisher_trace, geometry_diagnostics, invariance_curve,
                       leakage_probe, normalized_mi, probe_data_efficiency,
                       separability, smoothness, sufficiency_surrogate)
-from .theory import (FactorThroughTFamily, TheoryVerdict, assumption_audit,
-                     bayes_risk, bayes_risk_through_encoder,
-                     orthogonality_check, over_invariance_check, risk_table,
-                     run_scenario, task_risk, two_stage_check)
+from .theory import (TheoryVerdict, assumption_audit, bayes_risk,
+                     bayes_risk_through_encoder, orthogonality_check,
+                     over_invariance_check, risk_table, run_scenario,
+                     task_risk, two_stage_check)
 from .trainer import TrainConfig, TrainLog, train_head, train_perception
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import infotheory as it
 from .errors import ContractViolation, DegenerateError, NotApplicableError
-from .numerics import Encoder, Rng, as_samples, matmul
+from .numerics import Encoder, Rng, as_samples, evenly_spaced, matmul
 from .objectives import covariance_penalty_value_grad, variance_floor_value_grad
 from .probes import fit_linear_probe, evaluate_probe, probe_split_evaluate
 from .worlds import World, sample_batch
@@ -246,9 +246,7 @@ _BANDWIDTH_SAMPLE_MAX = 512
 def median_bandwidth_sq(pooled: np.ndarray) -> float:
     # the heuristic needs only the median pairwise distance; an evenly spaced
     # subsample keeps it O(512^2) and deterministic
-    if pooled.shape[0] > _BANDWIDTH_SAMPLE_MAX:
-        idx = np.linspace(0, pooled.shape[0] - 1, _BANDWIDTH_SAMPLE_MAX).astype(int)
-        pooled = pooled[idx]
+    pooled = evenly_spaced(pooled, _BANDWIDTH_SAMPLE_MAX)
     d2 = _sq_dists(pooled, pooled)
     iu = np.triu_indices(pooled.shape[0], k=1)
     med = float(np.median(d2[iu]))
@@ -625,10 +623,7 @@ _GROUP_SAMPLE_MAX = 2048
 def _cap_group(z: np.ndarray) -> np.ndarray:
     # bound the O(n^2) kernel time (memory is blocked in separability);
     # evenly spaced, hence deterministic
-    if z.shape[0] <= _GROUP_SAMPLE_MAX:
-        return z
-    idx = np.linspace(0, z.shape[0] - 1, _GROUP_SAMPLE_MAX).astype(int)
-    return z[idx]
+    return evenly_spaced(z, _GROUP_SAMPLE_MAX)
 
 
 def _two_orbit_groups(z: np.ndarray, t) -> tuple | None:

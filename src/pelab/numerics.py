@@ -91,6 +91,15 @@ def as_samples(a) -> np.ndarray:
     return a[:, None] if a.ndim == 1 else a
 
 
+def evenly_spaced(a: np.ndarray, k: int) -> np.ndarray:
+    """``a`` itself when it has at most ``k`` rows, else ``k`` evenly spaced
+    rows of it (the first and the last among them): a deterministic
+    subsample that keeps the rows' order."""
+    if len(a) <= k:
+        return a
+    return a[np.linspace(0, len(a) - 1, k).astype(int)]
+
+
 # ---------------------------------------------------------------------------
 # Deterministic pseudo-randomness
 # ---------------------------------------------------------------------------
@@ -195,10 +204,6 @@ class Encoder:
     @property
     def d_z(self) -> int:
         return self.b1.shape[0] if self.arch == ARCH_LINEAR else self.b2.shape[0]
-
-    @property
-    def d_hidden(self) -> int:
-        return 0 if self.arch == ARCH_LINEAR else self.W1.shape[0]
 
     @property
     def n_params(self) -> int:

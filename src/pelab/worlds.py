@@ -210,7 +210,8 @@ def make_rotation_world(r_min: float = 0.5, r_max: float = 1.5,
     The radius r is the orbit statistic; the applied angle is the nuisance.
     Radii are uniform on [r_min, r_max] when ``radius_values`` is empty, or
     uniform over those discrete values (which makes the orbit statistic
-    finitely supported and all Bayes-risk oracles exact).
+    finitely supported and all Bayes-risk oracles exact); an empty interval
+    or fewer than two distinct values is a ``ConfigurationError``.
     The label 1[r > threshold] depends on the orbit only, so the
     group-invariance flag is true.  The threshold is the middle of
     [r_min, r_max], or the midpoint between the largest discrete radius at
@@ -233,6 +234,11 @@ def make_rotation_world(r_min: float = 0.5, r_max: float = 1.5,
         def sample_r(rng, n):
             return rng.choice(radii, size=n)
     else:
+        # at r_min == r_max every radius sits on the threshold
+        if not r_min < r_max:
+            raise ConfigurationError(
+                f"r_min must be < r_max = {r_max!r} when radius_values is "
+                f"empty, got {r_min!r}")
         radii = None
         threshold = 0.5 * (r_min + r_max)
 
@@ -399,7 +405,8 @@ WORLD_BUILDERS = {
 
 
 # ---------------------------------------------------------------------------
-# Batch export (columnar text for the certifier and external tools)
+# Batch export (inputs, views and factors as CSV for external tools; it
+# holds no code columns z_*, so it is not an input of ``pelab certify``)
 # ---------------------------------------------------------------------------
 
 def _t_columns(t: np.ndarray) -> tuple[list[str], np.ndarray]:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import pelab
 from pelab import theory
-from pelab.numerics import Encoder, Rng
+from pelab.numerics import Encoder, Rng, as_samples
 from pelab.worlds import (make_bernoulli_uv_world, make_rotation_world,
                           make_six_nine_world)
 
@@ -25,8 +26,16 @@ def rotation_world():
 
 @pytest.fixture
 def unit_circle_world():
-    # degenerate radius distribution: every sample lies on the unit circle
-    return make_rotation_world(r_min=1.0, r_max=1.0)
+    # every sample lies on the unit circle, inside the label-0 side of a
+    # rotation world whose threshold is 1.5 (a builder rejects the empty
+    # interval r_min == r_max, which puts every radius on the threshold)
+    def sample_xy(rng, n):
+        theta = rng.uniform(0.0, 2.0 * np.pi, n)
+        return (np.column_stack([np.cos(theta), np.sin(theta)]),
+                np.zeros(n, dtype=np.int64))
+
+    return replace(make_rotation_world(r_min=1.0, r_max=2.0),
+                   sample_xy=sample_xy)
 
 
 @pytest.fixture
@@ -57,6 +66,16 @@ def risk_evals(monkeypatch):
 def identity_encoder(d):
     """The linear encoder z = x on d dimensions."""
     return Encoder("linear", np.eye(d), np.zeros(d))
+
+
+def through_orbit_map(world, link):
+    """The encoder x -> link(T(x)) for readers of codes (heads, probes): a
+    copy of ``link`` whose ``forward`` reads x through the world's orbit
+    map; its parameters are the link's."""
+    enc = link.copy()
+    forward = enc.forward
+    enc.forward = lambda x: forward(as_samples(world.orbit_map(x)))
+    return enc
 
 
 def relative_l2_error(approx, exact):

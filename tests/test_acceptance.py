@@ -122,10 +122,10 @@ def test_criterion_04_gradient_correctness():
     _report(4, ok, f"worst rel L2 err {worst:.2e} over 20 triples [{elapsed:.1f}s]")
 
 
-def test_criterion_05_invariance_curve_oracle():
-    world = make_rotation_world(r_min=1.0, r_max=1.0)  # unit-circle inputs
+def test_criterion_05_invariance_curve_oracle(unit_circle_world):
     grid = uniform_grid(np.pi, 33)
-    curve = invariance_curve(identity_encoder(2), world, grid, 10_000, Rng(55))
+    curve = invariance_curve(identity_encoder(2), unit_circle_world, grid,
+                             10_000, Rng(55))
     oracle = 2.0 * (1.0 - np.cos(grid))
     pointwise_ok = bool(np.all(np.abs(curve.values - oracle)
                                <= 0.02 * oracle + 1e-12))

@@ -651,6 +651,9 @@ def test_train_setting_out_of_range_exits_2(tmp_path, capsys, line, message):
     (["world.radius_values = 0.7, 0.7"],
      "world.radius_values must hold at least two distinct values, "
      "got (0.7, 0.7)"),
+    (["world.r_max = 1.0", "world.r_min = 1.0"],
+     "world.r_min must be < r_max = 1.0 when radius_values is empty, "
+     "got 1.0"),
     (["encoder.d_hidden = 0"], "encoder.d_hidden must be >= 1, got 0"),
     (["metrics.n = 0"], "metrics.n must be >= 1, got 0"),
     (["encoder.init_scale = inf"], "encoder.init_scale must be finite, got inf"),
@@ -670,7 +673,8 @@ def test_train_setting_out_of_range_exits_2(tmp_path, capsys, line, message):
         "center_x_nan",
         "center_y_infinite", "sigma_infinite", "world_kind_unknown",
         "encoder_arch_unknown", "theory_scenario_unknown",
-        "radius_values_one", "radius_values_repeated", "d_hidden_zero",
+        "radius_values_one", "radius_values_repeated", "r_min_equals_r_max",
+        "d_hidden_zero",
         "metrics_n_zero",
         "init_scale_inf", "alpha_max_inf", "risk_table_off_two_bit_world",
         "risk_table_exact_off_two_bit_world"])

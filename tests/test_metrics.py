@@ -17,10 +17,9 @@ from pelab.metrics import (Curve, MetricInputs, MetricReport,
 from pelab.infotheory import rows_as_codes
 from pelab.metrics import _cap_group, _two_orbit_groups
 from pelab.numerics import Encoder, Rng, make_encoder
-from pelab.theory import FactorThroughTFamily
 from pelab.worlds import sample_batch
 
-from conftest import identity_encoder
+from conftest import identity_encoder, through_orbit_map
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +552,8 @@ def test_radial_fisher_equals_separability_on_norms():
 # ---------------------------------------------------------------------------
 
 def test_probe_efficiency_radius_code(rotation_world):
-    family = FactorThroughTFamily(rotation_world, identity_encoder(1))
-    res = probe_data_efficiency(family, rotation_world, (64, 256), Rng(34))
+    enc = through_orbit_map(rotation_world, identity_encoder(1))
+    res = probe_data_efficiency(enc, rotation_world, (64, 256), Rng(34))
     assert res["accuracy_per_budget"]["256"] >= 0.95
 
 
@@ -565,10 +564,10 @@ def test_probe_efficiency_constant_code(rotation_world):
 
 
 def test_probe_efficiency_monotone_up_to_noise(rotation_world):
-    family = FactorThroughTFamily(rotation_world, identity_encoder(1))
+    enc = through_orbit_map(rotation_world, identity_encoder(1))
     budgets = (32, 128, 512)
     for seed in range(5):
-        res = probe_data_efficiency(family, rotation_world, budgets, Rng(seed))
+        res = probe_data_efficiency(enc, rotation_world, budgets, Rng(seed))
         accs = [res["accuracy_per_budget"][str(b)] for b in budgets]
         for lo, hi in zip(accs, accs[1:]):
             assert hi >= lo - 0.03, (seed, accs)

@@ -11,12 +11,12 @@ from pelab.objectives import (ObjectiveSpec, covariance_penalty_value_grad,
                               infonce_value_grad, invariance_value_grad,
                               variance_floor_value_grad)
 from pelab.probes import LinearHead
-from pelab.theory import (_PERCEPTION_SPEC, FactorThroughTFamily,
-                          _family_gradient, _posterior_loss,
-                          assumption_audit, bayes_risk,
+from pelab.theory import (_PERCEPTION_SPEC, _family_gradient,
+                          _posterior_loss, assumption_audit, bayes_risk,
                           bayes_risk_through_encoder, empirical_bayes_risk,
                           factorization_residual, far_pairs,
-                          monotone_scalar_link, orbit_merging_link,
+                          injectivity_witness, monotone_scalar_link,
+                          orbit_merging_link,
                           orthogonality_check, over_invariance_check,
                           risk_of_cells, risk_table,
                           run_scenario, task_risk, two_stage_check)
@@ -24,7 +24,7 @@ from pelab.trainer import TrainConfig, train_head, train_perception
 from pelab.worlds import (Atoms, make_bernoulli_uv_world, make_rotation_world,
                           make_six_nine_world, sample_batch, sample_law)
 
-from conftest import identity_encoder
+from conftest import identity_encoder, through_orbit_map
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +196,24 @@ def test_risk_evaluations_per_scenario(risk_evals, scenario, evals):
     ("merged_orbits", {4: 62}),
     ("over_invariance_bernoulli", {})])
 def test_forwards_per_scenario(monkeypatch, scenario, forwards):
-    # one forward per parameter point: the central difference's codes
-    # price both resolutions of the resolution-shift diagnostic
+    # one forward of the link per parameter point: the central difference's
+    # codes price both resolutions of the resolution-shift diagnostic
     calls = {}
-    encode = FactorThroughTFamily.codes_of_t
+    build = theory.monotone_scalar_link
 
-    def counted(self, t):
-        z = encode(self, t)
-        calls[z.shape[0]] = calls.get(z.shape[0], 0) + 1
-        return z
+    def counted_link(*args, **kwargs):
+        link = build(*args, **kwargs)
+        encode = link.forward
 
-    monkeypatch.setattr(FactorThroughTFamily, "codes_of_t", counted)
+        def counted(t):
+            z = encode(t)
+            calls[z.shape[0]] = calls.get(z.shape[0], 0) + 1
+            return z
+
+        link.forward = counted
+        return link
+
+    monkeypatch.setattr(theory, "monotone_scalar_link", counted_link)
     run_scenario(scenario, seed=11)
     assert calls == forwards
 
@@ -269,21 +276,21 @@ def test_task_risk_dominated_by_bayes(bernoulli_world):
 
 
 # ---------------------------------------------------------------------------
-# factor-through family
+# links over the orbit statistic
 # ---------------------------------------------------------------------------
 
 def test_factorization_residual_is_zero(rotation_world, rng):
-    family = FactorThroughTFamily(rotation_world, monotone_scalar_link())
     x = rotation_world.sample_xy(rng, 500)[0]
-    assert factorization_residual(family, x) <= 1e-12
+    assert factorization_residual(monotone_scalar_link(), rotation_world,
+                                  x) <= 1e-12
 
 
-def _dense_witness(family, t, in_gap=1e-3, out_tol=1e-9):
+def _dense_witness(link, t, in_gap=1e-3, out_tol=1e-9):
     """The former dense (m, m, d) witness, kept as the oracle."""
     t = np.asarray(t, dtype=np.float64).reshape(-1)
     if t.size > 256:
         t = t[np.linspace(0, t.size - 1, 256).astype(int)]
-    z = family.codes_of_t(t)
+    z = link.forward(t[:, None])
     dt = np.abs(t[:, None] - t[None, :])
     dz = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
     mask = dt >= in_gap
@@ -293,7 +300,7 @@ def _dense_witness(family, t, in_gap=1e-3, out_tol=1e-9):
             "min_code_gap": min_dz}
 
 
-def _steep_inner(rng, d_out):
+def _steep_link(rng, d_out):
     # steep tanh units saturate to exactly +-1, so some far pairs share a code
     return Encoder("mlp1", 40.0 * rng.normal(size=(4, 1)), rng.normal(size=4),
                    rng.normal(size=(d_out, 4)), np.zeros(d_out))
@@ -302,25 +309,22 @@ def _steep_inner(rng, d_out):
 @pytest.mark.parametrize("d_out", [1, 2, 3])
 @pytest.mark.parametrize("m", [1, 5, 300, 4096])
 def test_injectivity_witness_matches_dense_oracle(d_out, m):
-    world = make_rotation_world()
     rng = np.random.default_rng(d_out * 10_000 + m)
-    family = FactorThroughTFamily(world, _steep_inner(rng, d_out))
+    link = _steep_link(rng, d_out)
     t = np.round(rng.uniform(0.5, 1.5, m), 3)
-    assert family.injectivity_witness(t) == _dense_witness(family, t)
+    assert injectivity_witness(link, t) == _dense_witness(link, t)
 
 
 def test_injectivity_witness_reuses_one_pair_set_across_inner_maps():
-    world = make_rotation_world()
     rng = np.random.default_rng(8)
     t = np.round(rng.uniform(0.5, 1.5, 1000), 3)
     pairs = far_pairs(t)
     seen_violation = False
     for d_out in (1, 2, 3):
-        for inner in (_steep_inner(rng, d_out),
-                      make_encoder("mlp1", 1, d_out, 5, Rng(d_out))):
-            family = FactorThroughTFamily(world, inner)
-            wit = family.injectivity_witness(t, pairs=pairs)
-            assert wit == _dense_witness(family, t)
+        for link in (_steep_link(rng, d_out),
+                     make_encoder("mlp1", 1, d_out, 5, Rng(d_out))):
+            wit = injectivity_witness(link, t, pairs=pairs)
+            assert wit == _dense_witness(link, t)
             seen_violation = seen_violation or not wit["ok"]
     assert seen_violation   # the steep maps exercise the violation count
 
@@ -343,10 +347,8 @@ def test_orthogonality_check_builds_its_pair_set_once(monkeypatch, scenario):
 def test_injectivity_witness_detects_merge():
     world = make_rotation_world(radius_values=(0.6, 0.9, 1.1, 1.4))
     t = world.t_atoms().x
-    good = FactorThroughTFamily(world, monotone_scalar_link(hidden=2))
-    assert good.injectivity_witness(t)["ok"]
-    bad = FactorThroughTFamily(world, orbit_merging_link())
-    wit = bad.injectivity_witness(t)
+    assert injectivity_witness(monotone_scalar_link(hidden=2), t)["ok"]
+    wit = injectivity_witness(orbit_merging_link(), t)
     assert not wit["ok"]
     assert wit["violations"] >= 2  # both straddling pairs collapse
 
@@ -422,27 +424,25 @@ def test_family_gradients_keep_the_former_bits(rotation_world):
         v3, g3 = covariance_penalty_value_grad(z)
         return v1 + v2 + v3, g1 + g2 + g3, g1p
 
-    cases = [(inner, spec, code_loss)
-             for inner in (monotone_scalar_link(),
-                           make_encoder("mlp1", 1, 2, 4, Rng(6)))
+    cases = [(link, spec, code_loss)
+             for link in (monotone_scalar_link(),
+                          make_encoder("mlp1", 1, 2, 4, Rng(6)))
              for spec, code_loss in ((ObjectiveSpec(), invariance_value_grad),
                                      (_PERCEPTION_SPEC, perception))]
-    for inner, spec, code_loss in cases:
-        family = FactorThroughTFamily(rotation_world, inner)
-        grad = _family_gradient(family, rotation_world, Rng(5), spec)
+    for link, spec, code_loss in cases:
+        grad = _family_gradient(link, rotation_world, Rng(5), spec)
         batch = sample_batch(rotation_world, 512, Rng(5), with_labels=False)
-        t2 = np.concatenate([family.t_columns(batch.x),
-                             family.t_columns(batch.x_plus)])
-        z2, h2 = family.inner._forward_hidden(t2)
+        t2 = np.concatenate([as_samples(rotation_world.orbit_map(batch.x)),
+                             as_samples(rotation_world.orbit_map(batch.x_plus))])
+        z2, h2 = link._forward_hidden(t2)
         _, gz, gzp = code_loss(z2[:512], z2[512:])
-        ref = family.inner.backprop_params(t2, np.concatenate([gz, gzp]), h2)
+        ref = link.backprop_params(t2, np.concatenate([gz, gzp]), h2)
         assert grad.tobytes() == ref.tobytes()
 
 
 def test_orthogonality_check_custom_family_on_discrete_world():
     world = make_rotation_world(radius_values=(0.5, 0.8, 1.2, 1.5))
-    family = FactorThroughTFamily(world, monotone_scalar_link())
-    verdict = orthogonality_check(family, world, Rng(60))
+    verdict = orthogonality_check(monotone_scalar_link(), world, Rng(60))
     assert verdict.passed
     assert verdict.measured["f_at_start"] == 0.0
 
@@ -457,8 +457,8 @@ def test_run_scenario_rejects_unknown_name():
 # ---------------------------------------------------------------------------
 
 def test_two_stage_factor_through_link_achieves_bayes(rotation_world):
-    family = FactorThroughTFamily(rotation_world, monotone_scalar_link())
-    verdict = two_stage_check(rotation_world, family, Rng(61))
+    enc = through_orbit_map(rotation_world, monotone_scalar_link())
+    verdict = two_stage_check(rotation_world, enc, Rng(61))
     assert verdict.passed
     assert verdict.measured["bayes_risk_full"] == 0.0
 

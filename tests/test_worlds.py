@@ -303,6 +303,14 @@ def test_discrete_radius_threshold_sits_between_radii(radii, threshold):
                           world.posterior(batch.x_plus))
 
 
+@pytest.mark.parametrize("r_min, r_max", [(1.0, 1.0), (0.0, 0.0), (1.5, 0.5)])
+def test_continuous_rotation_world_rejects_an_empty_radius_interval(r_min,
+                                                                    r_max):
+    # at r_min == r_max every radius sits on the label threshold
+    with pytest.raises(ConfigurationError, match="r_min must be < r_max"):
+        make_rotation_world(r_min=r_min, r_max=r_max)
+
+
 @pytest.mark.parametrize("radii", [(0.7,), (0.7, 0.7), (1.0, 1.0, 1.0)])
 def test_rotation_world_rejects_fewer_than_two_distinct_radii(radii):
     with pytest.raises(ConfigurationError,
