@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -191,30 +190,44 @@ def _read_embeddings_csv(path: Path) -> dict:
                        None)
             if dup is not None:
                 raise ContractViolation(f"{path}: duplicate column {dup!r}")
-            rows = []
+            rows, linenos, stop = [], [], None
             for lineno, raw in enumerate(fh, start=2):
                 if not raw.strip():
                     continue
                 parts = raw.strip().split(",")
                 if len(parts) != len(header):
-                    raise ContractViolation(
+                    stop = ContractViolation(
                         f"{path}: row {lineno}: expected {len(header)} "
                         f"columns, got {len(parts)}")
-                try:
-                    row = [float(p) for p in parts]
-                except ValueError as exc:
-                    raise ContractViolation(
-                        f"{path}: row {lineno}: {exc}") from None
-                bad = [h for h, c in zip(header, row) if not math.isfinite(c)]
-                if bad:
-                    raise ContractViolation(f"{path}: row {lineno}, column "
-                                            f"{bad[0]}: non-finite value")
-                rows.append(row)
+                    break
+                rows.append(parts)
+                linenos.append(lineno)
     except (OSError, UnicodeDecodeError) as exc:
         raise ContractViolation(f"{path}: cannot read embeddings: {exc}") from None
+    # a cell that does not parse stops the rows like a wrong column count;
+    # the rows above the stop are checked for a non-finite cell first
+    try:
+        data = np.array(rows, dtype=np.float64)
+    except ValueError:
+        for i, parts in enumerate(rows):
+            try:
+                np.array(parts, dtype=np.float64)
+            except ValueError as exc:
+                stop = ContractViolation(f"{path}: row {linenos[i]}: {exc}")
+                break
+        else:
+            raise
+        data = np.array(rows[:i], dtype=np.float64)
+    data = data.reshape(-1, len(header))
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        row, col = divmod(int(bad[0]), len(header))
+        raise ContractViolation(f"{path}: row {linenos[row]}, column "
+                                f"{header[col]}: non-finite value")
+    if stop is not None:
+        raise stop
     if not rows:
         raise ContractViolation(f"{path}: no data rows")
-    data = np.asarray(rows)
     cols = {name: data[:, j] for j, name in enumerate(header)}
 
     def gather(prefix):

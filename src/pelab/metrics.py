@@ -23,7 +23,8 @@ import numpy as np
 
 from . import infotheory as it
 from .errors import ContractViolation, DegenerateError, NotApplicableError
-from .numerics import Encoder, Rng, as_samples, evenly_spaced, matmul
+from .numerics import (Encoder, Rng, as_samples, distinct_rows, evenly_spaced,
+                       matmul)
 from .objectives import covariance_penalty_value_grad, variance_floor_value_grad
 from .probes import fit_linear_probe, evaluate_probe, probe_split_evaluate
 from .worlds import World, sample_batch
@@ -273,14 +274,18 @@ def _fisher_ratio(a: np.ndarray, b: np.ndarray) -> float:
 _KERNEL_BLOCK_ROWS = 256
 
 
-def _kernel_sum(a: np.ndarray, b: np.ndarray, inv_2h2: float,
-                same: bool) -> float:
-    """Sum of exp(-|a_i - b_j|^2 * inv_2h2) over all pairs (i, j), built one
-    block of rows at a time so that no len(a) x len(b) matrix exists.  With
-    ``same`` (b is a) the diagonal is left out and only the blocks on and
-    right of the diagonal are formed; the kernel is symmetric."""
+def _kernel_sum(a: np.ndarray, wa: np.ndarray, b: np.ndarray,
+                wb: np.ndarray, inv_2h2: float, same: bool) -> float:
+    """Sum of wa_i wb_j exp(-|a_i - b_j|^2 * inv_2h2) over all pairs (i, j),
+    built one block of rows at a time so that no len(a) x len(b) matrix
+    exists.  With ``same`` (b is a, wb is wa) the pairs of an input row
+    with itself, sum_i wa_i k(a_i, a_i), are left out and only the blocks
+    on and right of the diagonal are formed; the kernel is symmetric.
+    Unit weights (rows all distinct) change no bit and are not multiplied
+    in, so those sums cost no pass over the kernel entries."""
     aa = np.sum(a * a, axis=1)[:, None]
     bb = np.sum(b * b, axis=1)[None, :]
+    weighted = wa.max() > 1 or wb.max() > 1
     total = 0.0
     for s in range(0, a.shape[0], _KERNEL_BLOCK_ROWS):
         e = min(s + _KERNEL_BLOCK_ROWS, a.shape[0])
@@ -292,12 +297,19 @@ def _kernel_sum(a: np.ndarray, b: np.ndarray, inv_2h2: float,
         np.maximum(blk, 0.0, out=blk)
         blk *= -inv_2h2
         np.exp(blk, out=blk)
+        if weighted:
+            blk *= wa[s:e, None]
         if same:
             # the first e - s columns are the diagonal block; the rest
             # stand for themselves and their mirror images below it
-            total += ((blk[:, :e - s].sum() - np.trace(blk))
+            diagonal = np.trace(blk)
+            if weighted:
+                blk *= wb[cols]
+            total += ((blk[:, :e - s].sum() - diagonal)
                       + 2.0 * blk[:, e - s:].sum())
         else:
+            if weighted:
+                blk *= wb
             total += blk.sum()
     return float(total)
 
@@ -305,10 +317,12 @@ def _kernel_sum(a: np.ndarray, b: np.ndarray, inv_2h2: float,
 def separability(zbatch_a, zbatch_b) -> dict:
     """Fisher ratio and unbiased RBF-kernel MMD^2 between two code groups.
 
-    The kernel sums are accumulated in blocks of rows, so memory stays
-    O(block x n): about 4 MB for the 2 048-row groups ``_cap_group`` allows,
-    against 32 MB for each full kernel matrix.  Codes whose squared
-    distances overflow float64 raise DegenerateError, silently."""
+    The kernel sums run over the distinct rows of each group, each weighted
+    by its count (``numerics.distinct_rows``), and are accumulated in blocks
+    of rows, so memory stays O(block x distinct rows): at most about 4 MB
+    for the 2 048-row groups ``_cap_group`` allows, against 32 MB for each
+    full kernel matrix.  Codes whose squared distances overflow float64
+    raise DegenerateError, silently."""
     a, b = as_samples(zbatch_a), as_samples(zbatch_b)
     m, n = a.shape[0], b.shape[0]
     fisher = _fisher_ratio(a, b)
@@ -316,9 +330,13 @@ def separability(zbatch_a, zbatch_b) -> dict:
     with np.errstate(over="ignore", invalid="ignore"):
         h2 = median_bandwidth_sq(np.vstack([a, b]))
         inv_2h2 = 1.0 / (2.0 * h2)
-        mmd2 = (_kernel_sum(a, a, inv_2h2, True) / (m * (m - 1))
-                + _kernel_sum(b, b, inv_2h2, True) / (n * (n - 1))
-                - 2.0 * _kernel_sum(a, b, inv_2h2, False) / (m * n))
+        first, wa = distinct_rows(a)
+        a = a[first]
+        first, wb = distinct_rows(b)
+        b = b[first]
+        mmd2 = (_kernel_sum(a, wa, a, wa, inv_2h2, True) / (m * (m - 1))
+                + _kernel_sum(b, wb, b, wb, inv_2h2, True) / (n * (n - 1))
+                - 2.0 * _kernel_sum(a, wa, b, wb, inv_2h2, False) / (m * n))
     if not (np.isfinite(h2) and np.isfinite(mmd2)):
         raise DegenerateError(_SQUARES_OVERFLOW)
     return {"fisher_ratio": float(fisher), "mmd2": float(mmd2),

@@ -11,7 +11,9 @@ flat buffer whose views are its weight matrices and biases, so a descent step
 adds its update in place.  A two-view loss reads a batch of view pairs
 stacked once (``worlds.Batch.pairs``, first views over second views): both
 views go through one forward and one backprop, and their code gradients are
-the two halves of one array.  ``exp_rows`` is the one row
+the two halves of one array.  ``distinct_rows`` gives the first occurrence
+and the count of each distinct row, the weights by which the probes and the
+kernel sums visit repeated rows once.  ``exp_rows`` is the one row
 exponentiation that InfoNCE and the probes share: unshifted while the logits'
 bound allows it, shifted by each row's maximum beyond.  ``matmul`` is the
 product that every matrix with one row per sample goes through: it keeps
@@ -89,6 +91,20 @@ def as_samples(a) -> np.ndarray:
     """A batch as float64 rows: a 1-d array becomes an (n, 1) column."""
     a = np.asarray(a, dtype=np.float64)
     return a[:, None] if a.ndim == 1 else a
+
+
+def distinct_rows(a: np.ndarray):
+    """(first, counts) for the rows of a 2-d array: ``first`` indexes the
+    first occurrence of each distinct row, in row order, and ``counts`` (as
+    float64) says how many rows equal it.  Rows are compared by their bytes,
+    so 0.0 and -0.0 count as different rows; a sum over ``a[first]``
+    weighted by ``counts`` is still the sum over ``a``.  Rows that are all
+    distinct give ``first`` = 0..n-1 and unit counts."""
+    a = np.ascontiguousarray(a)
+    keys = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], counts[order].astype(np.float64)
 
 
 def evenly_spaced(a: np.ndarray, k: int) -> np.ndarray:

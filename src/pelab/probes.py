@@ -15,6 +15,17 @@ shifted by their row max beyond; ``softmax`` always shifts.
 Rows pass through one reused buffer in blocks of about ``BLOCK_ENTRIES``
 entries, so a probe with thousands of classes holds only a block of logits,
 and the validation loss is read as log-sum-exp minus the target logit.
+
+An epoch visits each distinct training code u once, weighted by its count
+w_u (``numerics.distinct_rows``): P'Z is sum_u w_u p_u z_u', taken as
+e' (z / (rowsum / w)), and the validation loss sums w_u times log-sum-exp
+minus the target logit over the distinct (code, target) rows.  Codes of a
+finite world (the two-bit world's 10 000 codes hold 4 distinct rows) cost
+their distinct rows; when every count is 1, the weights change no bit.
+
+The macro one-vs-rest AUC ranks the scores of every present class in one
+pass, ties at their average rank, in blocks of about ``BLOCK_ENTRIES``
+scores.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, DegenerateError
-from .numerics import Rng, as_samples, exp_rows, matmul
+from .numerics import Rng, as_samples, distinct_rows, exp_rows, matmul
 
 LOG2 = np.log(2.0)
 
@@ -32,6 +43,7 @@ LOG2 = np.log(2.0)
 # max(1, BLOCK_ENTRIES // k) rows (512 KiB of float64) stays in cache, and a
 # probe with few classes still takes all its rows in one block.  Of 2**14 to
 # 2**18, 2**16 fitted the rotation certify leakage probe (k = 1 400) fastest.
+# The AUC ranks the scores of max(1, BLOCK_ENTRIES // n) classes at a time.
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -105,36 +117,44 @@ def fit_linear_probe(z: np.ndarray, y: np.ndarray, rng: Rng,
     za[:, :d] = (z - mean) / scale
     z_norm_max = float(np.sqrt(np.max(np.sum(za[:, :d] ** 2, axis=1))))
     z_tr, y_tr = za[train_ix], y_idx[train_ix]
-    z_val, y_val = za[val_ix], y_idx[val_ix]
     m = train_ix.size
     class_sums = np.stack([np.bincount(y_tr, weights=col, minlength=k)
                            for col in z_tr.T], axis=1)
+    # each epoch visits the distinct training codes and the distinct
+    # validation (code, target) rows once, weighted by their counts
+    first, w_tr = distinct_rows(z_tr)
+    z_tr = z_tr[first]
+    z_val, y_val = za[val_ix], y_idx[val_ix]
+    first, w_val = distinct_rows(np.column_stack((z_val, y_val)))
+    z_val, y_val = z_val[first], y_val[first]
 
     step = max(1, BLOCK_ENTRIES // k)
-    buf = np.empty((min(step, max(m, n_val)), k))
+    buf = np.empty((min(step, max(len(z_tr), len(z_val))), k))
     Wb = np.zeros((k, d + 1))
     bound = 0.0                   # every logit is 0 while Wb = 0
     best = (np.inf, Wb.copy())
     stale = 0
     for _ in range(epochs):
         grad = -class_sums
-        for lo in range(0, m, step):
+        for lo in range(0, len(z_tr), step):
             zb = z_tr[lo:lo + step]
             e = buf[:zb.shape[0]]
             matmul(zb, Wb.T, out=e)
             _, sums = exp_rows(e, bound)
+            sums /= w_tr[lo:lo + step]
             grad += matmul(e.T, zb / sums[:, None])
         grad /= m
         Wb -= lr * grad
         bound = _logit_bound(z_norm_max, Wb)
         loss = 0.0
-        for lo in range(0, n_val, step):
+        for lo in range(0, len(z_val), step):
             zb, yb = z_val[lo:lo + step], y_val[lo:lo + step]
             e = buf[:zb.shape[0]]
             matmul(zb, Wb.T, out=e)
             target = e[np.arange(yb.size), yb]
             c, sums = exp_rows(e, bound)
-            loss += float(np.sum(c + np.log(sums) - target))
+            loss += float(np.sum(w_val[lo:lo + step]
+                                 * (c + np.log(sums) - target)))
         val_loss = loss / n_val / LOG2
         if val_loss < best[0] - 1e-12:
             best = (val_loss, Wb.copy())
@@ -152,34 +172,42 @@ def fit_linear_probe(z: np.ndarray, y: np.ndarray, rng: Rng,
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    vals, inv, counts = np.unique(x, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    group_rank = (starts + ends + 1) / 2.0  # average rank of each tie group
-    return group_rank[inv]
-
-
-def roc_auc(scores: np.ndarray, positive: np.ndarray) -> float:
-    """Rank-based AUC (Mann-Whitney with tie correction)."""
-    positive = np.asarray(positive, dtype=bool)
-    n_pos = int(positive.sum())
-    n_neg = positive.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateError("AUC is undefined for a single-class target")
-    ranks = _average_ranks(np.asarray(scores, dtype=np.float64))
-    u = ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
-
-
 def macro_ovr_auc(proba: np.ndarray, y_idx: np.ndarray, k: int) -> float:
-    """One-vs-rest AUC averaged over classes present in the targets."""
-    counts = np.bincount(y_idx, minlength=k)
-    aucs = [roc_auc(proba[:, c], y_idx == c)
-            for c in range(k) if 0 < counts[c] < y_idx.size]
-    if not aucs:
+    """One-vs-rest rank AUC (Mann-Whitney, ties at their average rank)
+    averaged over the classes present in the targets, from one sort of
+    each present class's scores, a block of classes at a time.  Each row is
+    a positive of at most one class, so a class's rank sum adds
+    half-integers and is exact."""
+    n = y_idx.size
+    # a target k (a test class above every trained one) is only a negative
+    counts = np.bincount(y_idx, minlength=k)[:k]
+    present = np.flatnonzero((counts > 0) & (counts < n))
+    if present.size == 0:
         raise DegenerateError("AUC is undefined for a single-class target")
-    return float(np.mean(aucs))
+    u = np.empty(present.size)
+    step = max(1, BLOCK_ENTRIES // n)
+    for lo in range(0, present.size, step):
+        cls = present[lo:lo + step]
+        scores = proba.T[cls]
+        order = np.argsort(scores, axis=1)
+        ranked = np.take_along_axis(scores, order, axis=1)
+        # tie groups of the flattened sorted rows: each row starts a group,
+        # and NaNs sort last and tie with each other, as in np.unique
+        new = np.ones(ranked.shape, dtype=bool)
+        new[:, 1:] = ((ranked[:, 1:] != ranked[:, :-1])
+                      & ~np.isnan(ranked[:, :-1]))
+        starts = np.flatnonzero(new)
+        ends = np.append(starts[1:], new.size)
+        # the flat sorted position of each positive and its group's
+        # average 1-based rank within its row
+        pos = np.flatnonzero(y_idx[order] == cls[:, None])
+        g = np.searchsorted(starts, pos, side="right") - 1
+        ranks = (starts[g] + ends[g] + 1) / 2.0 - (pos - pos % n)
+        u[lo:lo + step] = np.bincount(pos // n, weights=ranks,
+                                      minlength=cls.size)
+    n_pos = counts[present]
+    u -= n_pos * (n_pos + 1) / 2.0
+    return float(np.mean(u / (n_pos * (n - n_pos))))
 
 
 @dataclass

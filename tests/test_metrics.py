@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pelab import metrics
 from pelab.errors import (ContractViolation, DegenerateError,
@@ -16,8 +18,8 @@ from pelab.metrics import (Curve, MetricInputs, MetricReport,
                            sufficiency_surrogate, uniform_grid)
 from pelab.infotheory import rows_as_codes
 from pelab.metrics import _cap_group, _two_orbit_groups
-from pelab.numerics import Encoder, Rng, make_encoder
-from pelab.worlds import sample_batch
+from pelab.numerics import Encoder, Rng, distinct_rows, make_encoder
+from pelab.worlds import make_bernoulli_uv_world, sample_batch
 
 from conftest import identity_encoder, through_orbit_map
 
@@ -412,15 +414,18 @@ def test_separability_far_clusters_matches_brute_force():
     assert res["mmd2"] <= 2.0
 
 
+def _dense_kernel(p, q, h2):
+    d2 = (np.sum(p * p, axis=1)[:, None] + np.sum(q * q, axis=1)[None, :]
+          - 2.0 * (p @ q.T))
+    return np.exp(-np.maximum(d2, 0.0) / (2.0 * h2))
+
+
 def _dense_mmd2(a, b, h2):
     """Unbiased MMD^2 from three full kernel matrices: the reference for
     the blocked kernel sums."""
-    def kernel(p, q):
-        d2 = (np.sum(p * p, axis=1)[:, None] + np.sum(q * q, axis=1)[None, :]
-              - 2.0 * (p @ q.T))
-        return np.exp(-np.maximum(d2, 0.0) / (2.0 * h2))
     m, n = len(a), len(b)
-    kaa, kbb, kab = kernel(a, a), kernel(b, b), kernel(a, b)
+    kaa, kbb = _dense_kernel(a, a, h2), _dense_kernel(b, b, h2)
+    kab = _dense_kernel(a, b, h2)
     return ((kaa.sum() - np.trace(kaa)) / (m * (m - 1))
             + (kbb.sum() - np.trace(kbb)) / (n * (n - 1)) - 2.0 * kab.mean())
 
@@ -436,6 +441,85 @@ def test_separability_blocked_mmd_matches_dense_kernels(m, n, d):
     res = separability(a, b)
     oracle = _dense_mmd2(a, b, res["bandwidth_sq"])
     assert abs(res["mmd2"] - oracle) <= 1e-12 * abs(oracle)
+
+
+@st.composite
+def _repeated_groups(draw, min_distinct=1):
+    """Two code groups of 20 to 600 rows, each drawn from a few distinct
+    rows; with ``min_distinct`` above 2 the rows take near-equal shares, so
+    fewer than half of all pairs are equal rows and the median-heuristic
+    bandwidth is a distance, not rounding noise."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    groups = []
+    for _ in range(2):
+        distinct = rng.normal(size=(draw(st.integers(min_distinct, 6)), d))
+        n = draw(st.integers(20, 600))
+        picks = (rng.permutation(n) % len(distinct) if min_distinct > 2
+                 else rng.integers(0, len(distinct), n))
+        groups.append(distinct[picks])
+    return groups
+
+
+@settings(max_examples=60, deadline=None)
+@given(_repeated_groups(), st.floats(0.1, 10.0))
+def test_kernel_sums_over_distinct_rows_match_dense_kernels(groups, h2):
+    a, b = groups
+    fa, wa = distinct_rows(a)
+    fb, wb = distinct_rows(b)
+    c = a + 1e-3 * np.arange(len(a))[:, None]      # every row distinct
+    inv_2h2 = 1.0 / (2.0 * h2)
+    kaa = _dense_kernel(a, a, h2)
+    for got, want in (
+            (metrics._kernel_sum(a[fa], wa, a[fa], wa, inv_2h2, True),
+             kaa.sum() - np.trace(kaa)),
+            (metrics._kernel_sum(a[fa], wa, b[fb], wb, inv_2h2, False),
+             _dense_kernel(a, b, h2).sum()),
+            (metrics._kernel_sum(c, np.ones(len(c)), b[fb], wb, inv_2h2,
+                                 False),
+             _dense_kernel(c, b, h2).sum())):
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_repeated_groups(min_distinct=3))
+def test_separability_on_repeated_rows_matches_dense_kernels(groups):
+    a, b = groups
+    res = separability(a, b)
+    # MMD^2 is a difference of kernel means, each in [0, 1] (the cross
+    # term in [0, 2]), so the bound is relative to that scale
+    assert abs(res["mmd2"] - _dense_mmd2(a, b, res["bandwidth_sq"])) <= 4e-12
+
+
+def test_separability_kernel_blocks_hold_only_distinct_rows(monkeypatch):
+    # 10 000 two-bit codes split by the orbit bit: each group holds 2
+    # distinct codes, and every kernel block must be at most 2 x 2
+    world = make_bernoulli_uv_world()
+    enc_rng, data_rng = Rng(0).split(2)
+    enc = make_encoder("mlp1", 2, 4, 32, enc_rng, init_scale=4.0)
+    batch = sample_batch(world, 10000, data_rng)
+    groups = _two_orbit_groups(enc.forward(batch.x), batch.t)
+    assert [np.unique(g, axis=0).shape[0] for g in groups] == [2, 2]
+    blocks, inside = [], []
+    kernel_sum, matmul = metrics._kernel_sum, metrics.matmul
+
+    def kernel_spy(*args):
+        inside.append(True)
+        try:
+            return kernel_sum(*args)
+        finally:
+            inside.pop()
+
+    def matmul_spy(a, b, out=None):
+        if inside:
+            blocks.append((a.shape[0], b.shape[1]))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(metrics, "_kernel_sum", kernel_spy)
+    monkeypatch.setattr(metrics, "matmul", matmul_spy)
+    separability(*groups)
+    assert len(blocks) == 3
+    assert max(max(blk) for blk in blocks) <= 2
 
 
 def _three_branch_groups(z, t):

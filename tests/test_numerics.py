@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from pelab.errors import ContractViolation
 from pelab.metrics import MetricSuiteOptions, certify_encoder
-from pelab.numerics import (BLAS_ONE_THREAD_MAX, Encoder, Rng, exp_rows,
-                            finite_diff, make_encoder, matmul, param_gradient)
+from pelab.numerics import (BLAS_ONE_THREAD_MAX, Encoder, Rng, distinct_rows,
+                            exp_rows, finite_diff, make_encoder, matmul,
+                            param_gradient)
 from pelab.objectives import (ObjectiveSpec, covariance_penalty_value_grad,
                               infonce_value_grad, invariance_value_grad,
                               perc_loss, variance_floor_value_grad)
@@ -453,6 +454,28 @@ def test_finite_diff_product_rule():
 def test_finite_diff_rejects_nonpositive_step():
     with pytest.raises(ContractViolation):
         finite_diff(lambda p: 0.0, np.zeros(2), 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.sampled_from([0.0, 1.5, -2.0, 7.0]),
+                      min_size=2, max_size=2), min_size=n, max_size=n),
+    st.booleans())))
+def test_distinct_rows_keeps_first_occurrences_in_row_order(case):
+    rows, continuous = case
+    a = np.array(rows)
+    if continuous:
+        a = a + np.arange(len(a))[:, None] * 1e-3   # every row distinct
+    first, counts = distinct_rows(a)
+    assert counts.dtype == np.float64 and counts.sum() == len(a)
+    assert np.all(np.diff(first) > 0)
+    seen = {}
+    for i, row in enumerate(map(tuple, a)):
+        seen.setdefault(row, []).append(i)
+    assert [v[0] for v in seen.values()] == list(first)
+    assert [len(v) for v in seen.values()] == list(counts)
+    if continuous:
+        assert np.array_equal(first, np.arange(len(a)))
 
 
 @pytest.mark.parametrize("bound, shifted", [

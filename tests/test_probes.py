@@ -2,11 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pelab import probes
 from pelab.errors import DegenerateError
-from pelab.numerics import Rng
-from pelab.probes import fit_linear_probe
+from pelab.numerics import Rng, make_encoder
+from pelab.probes import fit_linear_probe, macro_ovr_auc
+from pelab.worlds import make_bernoulli_uv_world
 
 LOG2 = np.log(2.0)
 
@@ -77,6 +80,120 @@ def test_fit_linear_probe_matches_reference_loop(n, d, many_classes):
     head = fit_linear_probe(z, y, Rng(9))
     assert head.W.shape[0] > (300 if many_classes else 1)
     _assert_matches_reference(head, z, y, 9)
+
+
+def _bernoulli_codes(n, seed=0):
+    """Codes of a seeded mlp1 encoder on n two-bit inputs (4 distinct rows)
+    and their labels."""
+    world = make_bernoulli_uv_world()
+    enc_rng, data_rng = Rng(seed).split(2)
+    enc = make_encoder("mlp1", 2, 4, 32, enc_rng, init_scale=4.0)
+    x, y = world.sample_xy(data_rng, n)
+    return enc.forward(x), y
+
+
+def _repeated_codes(case):
+    if case == "bernoulli_k2":
+        return _bernoulli_codes(2000)
+    # six distinct 3-d codes, five classes drawn independently of them
+    rng = np.random.default_rng(6)
+    z = rng.normal(size=(6, 3))[rng.integers(0, 6, 1500)]
+    return z, rng.integers(0, 5, 1500)
+
+
+@pytest.mark.parametrize("case", ["bernoulli_k2", "six_codes_k5"])
+def test_fit_linear_probe_on_repeated_rows_matches_reference_loop(case):
+    z, y = _repeated_codes(case)
+    assert np.unique(z, axis=0).shape[0] <= 6
+    head = fit_linear_probe(z, y, Rng(2))
+    _assert_matches_reference(head, z, y, 2)
+
+
+def _unweighted_fit(z, y, rng, epochs=200, lr=1.0, val_frac=0.2,
+                    patience=25):
+    """The blocked probe loop over every row, unweighted, kept as the
+    bitwise reference for rows that are all distinct."""
+    classes, y_idx = np.unique(y, return_inverse=True)
+    n, d = z.shape
+    k = classes.size
+    perm = rng.permutation(n)
+    n_val = max(1, int(round(val_frac * n)))
+    val_ix, train_ix = perm[:n_val], perm[n_val:]
+    mean = z[train_ix].mean(axis=0)
+    scale = z[train_ix].std(axis=0)
+    scale[scale < 1e-12] = 1.0
+    za = np.ones((n, d + 1))
+    za[:, :d] = (z - mean) / scale
+    z_norm_max = float(np.sqrt(np.max(np.sum(za[:, :d] ** 2, axis=1))))
+    z_tr, y_tr = za[train_ix], y_idx[train_ix]
+    z_val, y_val = za[val_ix], y_idx[val_ix]
+    m = train_ix.size
+    class_sums = np.stack([np.bincount(y_tr, weights=col, minlength=k)
+                           for col in z_tr.T], axis=1)
+    step = max(1, probes.BLOCK_ENTRIES // k)
+    buf = np.empty((min(step, max(m, n_val)), k))
+    Wb = np.zeros((k, d + 1))
+    bound = 0.0
+    best = (np.inf, Wb.copy())
+    stale = 0
+    for _ in range(epochs):
+        grad = -class_sums
+        for lo in range(0, m, step):
+            zb = z_tr[lo:lo + step]
+            e = buf[:zb.shape[0]]
+            probes.matmul(zb, Wb.T, out=e)
+            _, sums = probes.exp_rows(e, bound)
+            grad += probes.matmul(e.T, zb / sums[:, None])
+        grad /= m
+        Wb -= lr * grad
+        bound = probes._logit_bound(z_norm_max, Wb)
+        loss = 0.0
+        for lo in range(0, n_val, step):
+            zb, yb = z_val[lo:lo + step], y_val[lo:lo + step]
+            e = buf[:zb.shape[0]]
+            probes.matmul(zb, Wb.T, out=e)
+            target = e[np.arange(yb.size), yb]
+            c, sums = probes.exp_rows(e, bound)
+            loss += float(np.sum(c + np.log(sums) - target))
+        val_loss = loss / n_val / LOG2
+        if val_loss < best[0] - 1e-12:
+            best = (val_loss, Wb.copy())
+            stale = 0
+        else:
+            stale += 1
+            if stale > patience:
+                break
+    return best[1][:, :d], best[1][:, d]
+
+
+@pytest.mark.parametrize("n, d, k", [(700, 3, 350), (400, 2, 5), (120, 1, 2)])
+def test_fit_linear_probe_on_distinct_rows_keeps_the_unweighted_bits(n, d, k):
+    rng = np.random.default_rng(n)
+    z = rng.normal(size=(n, d))
+    y = rng.permutation(n) % k
+    head = fit_linear_probe(z, y, Rng(8))
+    W, b = _unweighted_fit(z, y, Rng(8))
+    assert np.array_equal(head.W, W) and np.array_equal(head.b, b)
+
+
+def test_fit_linear_probe_epochs_visit_only_distinct_rows(monkeypatch):
+    # 10 000 two-bit codes hold 4 distinct (code, label) rows: no product
+    # of an epoch may cost more than those rows do
+    z, y = _bernoulli_codes(10000)
+    distinct = np.unique(np.column_stack((z, y)), axis=0).shape[0]
+    assert distinct == 4
+    costs = []
+    matmul = probes.matmul
+
+    def spy(a, b, out=None):
+        costs.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(probes, "matmul", spy)
+    fit_linear_probe(z, y, Rng(0))
+    k, d = 2, z.shape[1]
+    assert len(costs) > 100
+    assert max(costs) <= distinct * k * (d + 1)
 
 
 @pytest.fixture
@@ -195,3 +312,49 @@ def test_fit_linear_probe_rejects_codes_too_large_to_standardize(scale, shift):
     assert np.all(np.isfinite(z))
     with pytest.raises(DegenerateError, match="mean or scale is not finite"):
         fit_linear_probe(z, y, Rng(1))
+
+
+def _auc_oracle(proba, y_idx, k):
+    """Macro one-vs-rest AUC by counting every (positive, negative) pair:
+    1 for a higher positive score, 1/2 for a tie; NaN ranks above every
+    number and ties with NaN."""
+    def key(s):
+        return (1, 0.0) if np.isnan(s) else (0, s)
+
+    aucs = []
+    for c in range(k):
+        pos = [key(s) for s, t in zip(proba[:, c], y_idx) if t == c]
+        neg = [key(s) for s, t in zip(proba[:, c], y_idx) if t != c]
+        if pos and neg:
+            u = sum(1.0 if p > q else 0.5 if p == q else 0.0
+                    for p in pos for q in neg)
+            aucs.append(u / (len(pos) * len(neg)))
+    return float(np.mean(aucs))
+
+
+@st.composite
+def _scored_targets(draw):
+    n = draw(st.integers(2, 30))
+    k = draw(st.integers(2, 5))
+    # evaluate_probe maps a test class above every trained one to k
+    y_idx = np.array(draw(st.lists(st.integers(0, k), min_size=n,
+                                   max_size=n)))
+    if np.unique(y_idx[y_idx < k]).size < 2:
+        y_idx[:2] = [0, 1]
+    # few distinct scores, so ties are common
+    proba = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, float("nan")]),
+        min_size=n * k, max_size=n * k))).reshape(n, k)
+    return proba, y_idx, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scored_targets())
+def test_macro_ovr_auc_equals_pairwise_mann_whitney(case):
+    proba, y_idx, k = case
+    assert macro_ovr_auc(proba, y_idx, k) == _auc_oracle(proba, y_idx, k)
+
+
+def test_macro_ovr_auc_rejects_a_single_class():
+    with pytest.raises(DegenerateError):
+        macro_ovr_auc(np.full((5, 3), 0.2), np.full(5, 1), 3)
