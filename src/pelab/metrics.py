@@ -24,7 +24,7 @@ import numpy as np
 from . import infotheory as it
 from .errors import ContractViolation, DegenerateError, NotApplicableError
 from .numerics import (Encoder, Rng, as_samples, distinct_rows, evenly_spaced,
-                       matmul)
+                       matmul, row_blocks, row_ids)
 from .objectives import covariance_penalty_value_grad, variance_floor_value_grad
 from .probes import fit_linear_probe, evaluate_probe, probe_split_evaluate
 from .worlds import World, sample_batch
@@ -233,24 +233,37 @@ def sufficiency_surrogate(zbatch, xbatch, orbit_ids, n_bins: int = 8) -> float:
 # Separability
 # ---------------------------------------------------------------------------
 
-def _sq_dists(a, b) -> np.ndarray:
-    # dense, for the 512-row bandwidth subsample only; the reported
-    # bandwidth_sq depends on this exact order of operations
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * matmul(a, b.T), 0.0)
-
-
 _BANDWIDTH_SAMPLE_MAX = 512
 
 
 def median_bandwidth_sq(pooled: np.ndarray) -> float:
-    # the heuristic needs only the median pairwise distance; an evenly spaced
-    # subsample keeps it O(512^2) and deterministic
+    """Half the median squared distance over the pairs of an evenly spaced
+    subsample of at most 512 rows, or 1.0 when that median is 0.
+
+    The distances are taken as max((aa + bb) - 2 ab, 0) in the row blocks
+    of ``numerics.row_blocks`` (the reported bandwidth depends on this
+    order of operations), and each block's pairs above the diagonal are
+    written into one condensed vector of n (n - 1) / 2 entries, so no
+    n x n matrix exists.  Two bitwise-equal rows are at distance exactly 0,
+    not the rounding noise of that formula."""
     pooled = evenly_spaced(pooled, _BANDWIDTH_SAMPLE_MAX)
-    d2 = _sq_dists(pooled, pooled)
-    iu = np.triu_indices(pooled.shape[0], k=1)
-    med = float(np.median(d2[iu]))
+    n, d = pooled.shape
+    sq = np.sum(pooled * pooled, axis=1)
+    ids = row_ids(pooled)
+    cols = np.arange(n)
+    d2 = np.empty(n * (n - 1) // 2)
+    at = 0
+    for lo, hi in row_blocks(n, d, n):
+        blk = np.matmul(pooled[lo:hi], pooled.T)
+        blk *= 2.0
+        dist = sq[lo:hi, None] + sq
+        dist -= blk
+        np.maximum(dist, 0.0, out=dist)
+        dist[ids[lo:hi, None] == ids] = 0.0
+        upper = dist[cols > cols[lo:hi, None]]
+        d2[at:at + upper.size] = upper
+        at += upper.size
+    med = float(np.median(d2, overwrite_input=True))
     return med / 2.0 if med > 0 else 1.0
 
 
@@ -311,6 +324,7 @@ def _kernel_sum(a: np.ndarray, wa: np.ndarray, b: np.ndarray,
             if weighted:
                 blk *= wb
             total += blk.sum()
+        del blk                   # freed before the next block is formed
     return float(total)
 
 
@@ -318,11 +332,12 @@ def separability(zbatch_a, zbatch_b) -> dict:
     """Fisher ratio and unbiased RBF-kernel MMD^2 between two code groups.
 
     The kernel sums run over the distinct rows of each group, each weighted
-    by its count (``numerics.distinct_rows``), and are accumulated in blocks
-    of rows, so memory stays O(block x distinct rows): at most about 4 MB
-    for the 2 048-row groups ``_cap_group`` allows, against 32 MB for each
-    full kernel matrix.  Codes whose squared distances overflow float64
-    raise DegenerateError, silently."""
+    by its count (``numerics.distinct_rows``), and are accumulated one block
+    of rows at a time, so memory stays O(block x distinct rows): one
+    256 x 2 048 block (4.2 MB) for the 2 048-row groups ``_cap_group``
+    allows, against 32 MB for each full kernel matrix.  The bandwidth holds
+    a 1 MB condensed vector of distances and one row block.  Codes whose
+    squared distances overflow float64 raise DegenerateError, silently."""
     a, b = as_samples(zbatch_a), as_samples(zbatch_b)
     m, n = a.shape[0], b.shape[0]
     fisher = _fisher_ratio(a, b)

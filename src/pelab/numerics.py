@@ -17,11 +17,14 @@ kernel sums visit repeated rows once.  ``exp_rows`` is the one row
 exponentiation that InfoNCE and the probes share: unshifted while the logits'
 bound allows it, shifted by each row's maximum beyond.  ``matmul`` is the
 product that every matrix with one row per sample goes through: it keeps
-each BLAS call small enough to run on the calling thread.  ``import pelab``
-loads the BLAS without a thread pool when it is the first to import numpy;
-a process that loaded numpy earlier keeps the pool, and there the row
-blocks keep every product off it and make its bits independent of the
-thread count.
+each BLAS call small enough to run on the calling thread.  Its row blocks
+(``row_blocks``) also serve code that consumes a product one block at a
+time, such as a probe's held-out logits or the bandwidth's distances, with
+the bits that ``matmul`` gives.  ``row_ids`` gives equal rows one id.
+``import pelab`` loads the BLAS without a thread pool when it is the first
+to import numpy; a process that loaded numpy earlier keeps the pool, and
+there the row blocks keep every product off it and make its bits
+independent of the thread count.
 """
 
 from __future__ import annotations
@@ -65,24 +68,35 @@ def exp_rows(logits: np.ndarray, bound: float):
 BLAS_ONE_THREAD_MAX = 1 << 18
 
 
+def _rows_per_block(k: int, m: int) -> int:
+    return max(1, BLAS_ONE_THREAD_MAX // max(1, k * m))
+
+
+def row_blocks(n: int, k: int, m: int) -> list:
+    """The (lo, hi) row ranges in which ``matmul`` takes an (n, k) @ (k, m)
+    product: near-equal blocks of at most ``BLAS_ONE_THREAD_MAX``
+    multiply-adds (or one row).  A caller that consumes each block of a
+    product as it comes, ``np.matmul(a[lo:hi], b)``, gets the bits of
+    ``matmul(a, b)`` one block at a time."""
+    blocks = -(-n // _rows_per_block(k, m))
+    return [(i * n // blocks, (i + 1) * n // blocks) for i in range(blocks)]
+
+
 def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
-    """``a @ b`` for 2-d ``a`` (n, k) and ``b`` (k, m), taken in near-equal
-    row blocks of ``a`` of at most ``BLAS_ONE_THREAD_MAX`` multiply-adds (or
-    one row), so every BLAS call stays on the calling thread; a product that
-    fits one block is a single ``np.matmul``.  The inner dimension is never
-    split, but the BLAS picks its kernel by the size of each call, so a
-    blocked product may differ from one ``np.matmul`` in the last bits.  It
-    does not differ with the BLAS thread count."""
+    """``a @ b`` for 2-d ``a`` (n, k) and ``b`` (k, m), taken in the row
+    blocks of ``row_blocks``, so every BLAS call stays on the calling
+    thread; a product that fits one block is a single ``np.matmul``.  The
+    inner dimension is never split, but the BLAS picks its kernel by the
+    size of each call, so a blocked product may differ from one
+    ``np.matmul`` in the last bits.  It does not differ with the BLAS
+    thread count."""
     n, k = a.shape
     m = b.shape[1]
-    step = max(1, BLAS_ONE_THREAD_MAX // max(1, k * m))
-    if n <= step:
+    if n <= _rows_per_block(k, m):
         return np.matmul(a, b, out=out)
     if out is None:
         out = np.empty((n, m), dtype=np.result_type(a, b))
-    blocks = -(-n // step)
-    for i in range(blocks):
-        lo, hi = i * n // blocks, (i + 1) * n // blocks
+    for lo, hi in row_blocks(n, k, m):
         np.matmul(a[lo:hi], b, out=out[lo:hi])
     return out
 
@@ -93,6 +107,13 @@ def as_samples(a) -> np.ndarray:
     return a[:, None] if a.ndim == 1 else a
 
 
+def _row_keys(a: np.ndarray) -> np.ndarray:
+    """One void scalar per row of a 2-d array, equal when the rows' bytes
+    are equal."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+
+
 def distinct_rows(a: np.ndarray):
     """(first, counts) for the rows of a 2-d array: ``first`` indexes the
     first occurrence of each distinct row, in row order, and ``counts`` (as
@@ -100,11 +121,16 @@ def distinct_rows(a: np.ndarray):
     so 0.0 and -0.0 count as different rows; a sum over ``a[first]``
     weighted by ``counts`` is still the sum over ``a``.  Rows that are all
     distinct give ``first`` = 0..n-1 and unit counts."""
-    a = np.ascontiguousarray(a)
-    keys = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    _, first, counts = np.unique(_row_keys(a), return_index=True,
+                                 return_counts=True)
     order = np.argsort(first)
     return first[order], counts[order].astype(np.float64)
+
+
+def row_ids(a: np.ndarray) -> np.ndarray:
+    """An integer id per row of a 2-d array, equal for two rows exactly
+    when their bytes are equal (as in ``distinct_rows``)."""
+    return np.unique(_row_keys(a), return_inverse=True)[1]
 
 
 def evenly_spaced(a: np.ndarray, k: int) -> np.ndarray:

@@ -2,6 +2,7 @@ import inspect
 import json
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pelab import cli
 from pelab.cli import _build_parser, _read_embeddings_csv, main
 from pelab.config import SCHEMA, ExperimentConfig, parse_config_text, schema_help
 from pelab.errors import ConfigurationError, ContractViolation
@@ -472,6 +474,76 @@ def test_read_embeddings_csv_returns_finite_arrays_or_rejects(
     assert cols["z"].ndim == 2 and cols["z"].shape[0] >= 1
     for arr in cols.values():
         assert arr is None or np.all(np.isfinite(arr))
+
+
+def _read_outcome(path):
+    """The columns as bytes, or the ContractViolation's message."""
+    try:
+        cols = _read_embeddings_csv(path)
+    except ContractViolation as exc:
+        return str(exc)
+    return {k: None if v is None else (v.shape, v.tobytes())
+            for k, v in cols.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_bytes())
+def test_read_embeddings_csv_does_not_depend_on_the_chunk_size(
+        tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "chunks.csv"
+    path.write_bytes(data)
+    whole = _read_outcome(path)
+    default = cli.BLOCK_ENTRIES
+    try:
+        for chars in (1, 4, 9):
+            cli.BLOCK_ENTRIES = chars
+            assert _read_outcome(path) == whole, chars
+    finally:
+        cli.BLOCK_ENTRIES = default
+
+
+# three 8-character rows ("1.0,2.0\n") make one chunk; the header is line
+# 1, so the first chunk holds lines 2-4 and the second starts at line 5
+@pytest.mark.parametrize("rows, message", [
+    (["1.0,2.0"] * 3 + ["abc,2.0", "nan,2.0"],
+     "row 5: could not convert string to float: 'abc'"),
+    (["1.0,2.0", "1.0,nan", "1.0,2.0", "1.0,2.0,3.0"],
+     "row 3, column v: non-finite value"),
+    (["1.0,2.0", "abc,2.0", "1.0,2.0", "nan,2.0", "1.0,inf"],
+     "row 3: could not convert string to float: 'abc'"),
+    (["1.0,2.0"] * 3 + ["1.0,2.0,3.0", "nan,2.0"],
+     "row 5: expected 2 columns, got 3"),
+], ids=["unparsable_first_row_of_chunk_2", "non_finite_before_column_count",
+        "non_finite_below_unparsable", "non_finite_below_column_count"])
+def test_read_embeddings_csv_messages_at_chunk_boundaries(tmp_path,
+                                                          monkeypatch, rows,
+                                                          message):
+    monkeypatch.setattr(cli, "BLOCK_ENTRIES", 3 * len("1.0,2.0\n"))
+    path = tmp_path / "emb.csv"
+    path.write_text("z_0,v\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ContractViolation) as exc:
+        _read_embeddings_csv(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_read_embeddings_csv_peak_memory_is_one_chunk(tmp_path):
+    # 20 000 rows of 9 columns: every cell kept as text took 16.9 MB; the
+    # chunked reader holds one chunk of text beside the float64 rows
+    # (1.4 MB) and their concatenation
+    path = tmp_path / "emb.csv"
+    rng = np.random.default_rng(0)
+    data = np.column_stack([rng.normal(size=(20000, 4)),
+                            rng.integers(0, 2, size=(20000, 5))])
+    path.write_text("z_0,z_1,z_2,z_3,x_0,x_1,v,t,y\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in data.tolist()))
+    tracemalloc.start()
+    try:
+        cols = _read_embeddings_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(cols["z"], data[:, :4])
+    assert peak < 4e6, peak
 
 
 @pytest.mark.parametrize("column, metric", [("y", "label_probe_accuracy"),

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pelab import metrics
@@ -18,7 +18,8 @@ from pelab.metrics import (Curve, MetricInputs, MetricReport,
                            sufficiency_surrogate, uniform_grid)
 from pelab.infotheory import rows_as_codes
 from pelab.metrics import _cap_group, _two_orbit_groups
-from pelab.numerics import Encoder, Rng, distinct_rows, make_encoder
+from pelab.numerics import (Encoder, Rng, distinct_rows, evenly_spaced,
+                            make_encoder, matmul)
 from pelab.worlds import make_bernoulli_uv_world, sample_batch
 
 from conftest import identity_encoder, through_orbit_map
@@ -443,21 +444,67 @@ def test_separability_blocked_mmd_matches_dense_kernels(m, n, d):
     assert abs(res["mmd2"] - oracle) <= 1e-12 * abs(oracle)
 
 
+def _dense_bandwidth_sq(pooled):
+    """median_bandwidth_sq from the full distance matrix and its
+    ``triu_indices`` (the former code), kept as the oracle for the blocked
+    distances."""
+    pooled = evenly_spaced(pooled, 512)
+    aa = np.sum(pooled * pooled, axis=1)[:, None]
+    d2 = np.maximum(aa + aa.T - 2.0 * matmul(pooled, pooled.T), 0.0)
+    med = float(np.median(d2[np.triu_indices(len(pooled), k=1)]))
+    return med / 2.0 if med > 0 else 1.0
+
+
+@pytest.mark.parametrize("n, d", [(512, 1), (512, 2), (512, 4), (300, 3),
+                                  (3000, 4), (512, 16)])
+def test_median_bandwidth_sq_equals_the_dense_distances(n, d):
+    x = Rng(n + d).normal(size=(n, d)) * 3.0 + 1.0
+    assert metrics.median_bandwidth_sq(x) == _dense_bandwidth_sq(x)
+
+
+def test_median_bandwidth_sq_peak_memory_is_blocked():
+    # 512 continuous 4-d codes: the dense distances, their 2ab and aa + bb
+    # terms and a triu_indices pair took 6.3 MB; the blocked ones keep
+    # the condensed pairs (1 MB) and one row block at a time
+    x = Rng(40).normal(size=(512, 4))
+    metrics.median_bandwidth_sq(x)
+    tracemalloc.start()
+    try:
+        got = metrics.median_bandwidth_sq(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == _dense_bandwidth_sq(x)
+    assert peak < 4e6, peak
+
+
+def test_median_bandwidth_sq_of_mostly_equal_rows_is_the_fallback():
+    # 20 rows of one code against 464 of another: most pairs are equal
+    # rows, at distance exactly 0 rather than the rounding noise of
+    # aa + bb - 2ab, so the median is 0 and the bandwidth falls back to 1
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        d = rng.integers(1, 6)
+        c1 = rng.normal(size=d) * rng.choice([1.0, 10.0, 100.0])
+        c2 = rng.normal(size=d)
+        pooled = np.vstack([np.tile(c1, (20, 1)), np.tile(c2, (464, 1))])
+        assert metrics.median_bandwidth_sq(pooled) == 1.0
+
+
 @st.composite
-def _repeated_groups(draw, min_distinct=1):
-    """Two code groups of 20 to 600 rows, each drawn from a few distinct
-    rows; with ``min_distinct`` above 2 the rows take near-equal shares, so
-    fewer than half of all pairs are equal rows and the median-heuristic
-    bandwidth is a distance, not rounding noise."""
+def _repeated_groups(draw):
+    """Two code groups of 20 to 600 rows, each drawn from 1 to 6 distinct
+    rows in unequal shares.  Where more than half of all pairs are equal
+    rows (one code against another, or one dominant code) the median
+    squared distance is 0 and the bandwidth is the 1.0 fallback."""
     d = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     groups = []
     for _ in range(2):
-        distinct = rng.normal(size=(draw(st.integers(min_distinct, 6)), d))
+        distinct = rng.normal(size=(draw(st.integers(1, 6)), d))
+        shares = rng.dirichlet(np.full(len(distinct), 0.5))
         n = draw(st.integers(20, 600))
-        picks = (rng.permutation(n) % len(distinct) if min_distinct > 2
-                 else rng.integers(0, len(distinct), n))
-        groups.append(distinct[picks])
+        groups.append(distinct[rng.choice(len(distinct), n, p=shares)])
     return groups
 
 
@@ -481,8 +528,11 @@ def test_kernel_sums_over_distinct_rows_match_dense_kernels(groups, h2):
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_repeated_groups(min_distinct=3))
+@settings(max_examples=100, deadline=None)
+@given(_repeated_groups())
+# one code per group, 20 rows against 464: aa + bb - 2ab put the equal
+# rows at 4.4e-16 apart, and that median was taken for the bandwidth
+@example([np.tile([0.35, -7.44], (20, 1)), np.tile([-1.29, 1.42], (464, 1))])
 def test_separability_on_repeated_rows_matches_dense_kernels(groups):
     a, b = groups
     res = separability(a, b)
@@ -579,8 +629,11 @@ def test_separability_peak_memory_is_blocked():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one full 2048 x 2048 kernel matrix alone is 32 MB
-    assert peak < 16e6
+    # one full 2048 x 2048 kernel matrix alone is 32 MB; the kernel sums
+    # hold one 256 x 2048 block (4.2 MB) and the bandwidth one row block of
+    # its distances, 5.6 MB in all when numpy's first np.unique call in the
+    # process also imports numpy.ma
+    assert peak < 6.5e6, peak
 
 
 def test_separability_equal_means_fisher_near_zero():

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from pelab import probes
 from pelab.errors import DegenerateError
-from pelab.numerics import Rng, make_encoder
-from pelab.probes import fit_linear_probe, macro_ovr_auc
+from pelab.numerics import Rng, make_encoder, row_blocks
+from pelab.probes import (LinearHead, evaluate_probe, fit_linear_probe,
+                          macro_ovr_auc)
 from pelab.worlds import make_bernoulli_uv_world
 
 LOG2 = np.log(2.0)
@@ -358,3 +359,83 @@ def test_macro_ovr_auc_equals_pairwise_mann_whitney(case):
 def test_macro_ovr_auc_rejects_a_single_class():
     with pytest.raises(DegenerateError):
         macro_ovr_auc(np.full((5, 3), 0.2), np.full(5, 1), 3)
+
+
+def _dense_evaluate(head, z, y):
+    """evaluate_probe with every logit at once (two n x k arrays), kept as
+    the oracle for the blocked evaluation: (accuracy, AUC)."""
+    y = np.asarray(y)
+    proba = head.predict_proba(z)
+    pred = head.classes[np.argmax(proba, axis=1)]
+    acc = float(np.mean(pred == y))
+    y_idx = np.searchsorted(head.classes, y)
+    return acc, macro_ovr_auc(proba, y_idx, head.classes.size)
+
+
+def _head(k, d, rng, tied=False):
+    """A head over the odd classes 1, 3, .., 2k - 1, so that an even test
+    target is a class the training split never saw; ``tied`` gives every
+    even-indexed class the weights of the class after it."""
+    W = rng.normal(size=(k, d))
+    b = rng.normal(size=k)
+    if tied:
+        W[1::2], b[1::2] = W[:k - k % 2:2], b[:k - k % 2:2]
+    return LinearHead(W=W, b=b, classes=2.0 * np.arange(k) + 1.0,
+                      mean=rng.normal(size=d), scale=rng.uniform(0.5, 2.0, d))
+
+
+@pytest.mark.parametrize("k, d, n, blocks", [(2, 3, 50, 1), (2, 64, 5000, 3),
+                                             (1400, 4, 60, 2),
+                                             (1400, 4, 600, 14)])
+@pytest.mark.parametrize("case", ["above_every_class", "absent_classes",
+                                  "tied_scores", "unseen_classes"])
+def test_evaluate_probe_blocks_equal_the_dense_evaluation(k, d, n, blocks,
+                                                          case):
+    assert len(row_blocks(n, d, k)) == blocks
+    rng = np.random.default_rng(k + d + n)
+    head = _head(k, d, rng, tied=case == "tied_scores")
+    z = rng.normal(size=(n, d))
+    y = head.classes[rng.integers(0, k, n)]
+    if case == "above_every_class":        # the index k
+        y[::7] = 2.0 * k + 5.0
+    elif case == "absent_classes":         # half of the classes never occur
+        y = head.classes[rng.integers(0, max(2, k // 2), n)]
+    elif case == "tied_scores":            # repeated codes tie every class
+        z[1::3] = z[::3][:len(z[1::3])]
+    else:                                  # mapped to a trained neighbour
+        y[::5] -= 1.0
+    if case == "tied_scores":
+        proba = head.predict_proba(z)
+        assert len(np.unique(proba[:, 0])) < n
+    ev = evaluate_probe(head, z, y)
+    assert (ev.accuracy, ev.auc) == _dense_evaluate(head, z, y)
+    assert ev.error == 1.0 - ev.accuracy and ev.n == n
+
+
+@pytest.mark.parametrize("k", [2, 1400])
+@pytest.mark.parametrize("target", [1.0, "above"])
+def test_evaluate_probe_rejects_a_single_class(k, target):
+    rng = np.random.default_rng(k)
+    head = _head(k, 4, rng)
+    y = np.full(40, 2.0 * k + 5.0 if target == "above" else target)
+    with pytest.raises(DegenerateError, match="single-class"):
+        evaluate_probe(head, rng.normal(size=(40, 4)), y)
+
+
+def test_evaluate_probe_peak_memory_is_blocked():
+    # the rotation certify fixture's leakage probe: 600 held-out rows and
+    # k = 1 400 classes; the dense logits and their biased copy took
+    # 13.5 MB, and the blocked evaluation keeps a block of logits, the
+    # present classes' columns and the AUC's rank blocks
+    rng = np.random.default_rng(11)
+    head = _head(1400, 4, rng)
+    z = rng.normal(size=(600, 4))
+    y = head.classes[rng.integers(0, 1400, 600)]
+    evaluate_probe(head, z, y)
+    tracemalloc.start()
+    try:
+        evaluate_probe(head, z, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
