@@ -123,7 +123,7 @@ def normalized_mi(zbatch, v, n_bins: int = 8) -> float:
     if h_v <= 0.0:
         raise DegenerateError("H(V) = 0: normalized MI undefined")
     z_codes = it.discretize_codes(z, n_bins=n_bins)
-    return it.mutual_information_bits(z_codes, v_codes) / h_v
+    return (h_v - it.conditional_entropy_bits(v_codes, z_codes)) / h_v
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +178,14 @@ def fisher_trace(enc: Encoder, world: World, n: int, rng: Rng) -> float:
 # Disentanglement and sufficiency
 # ---------------------------------------------------------------------------
 
-def _nmi_bits(a_codes, b_codes) -> float:
-    ha = it.entropy_bits(a_codes)
-    hb = it.entropy_bits(b_codes)
-    if ha <= 0.0 or hb <= 0.0:
-        return 0.0
-    return it.mutual_information_bits(a_codes, b_codes) / np.sqrt(ha * hb)
-
-
 def disentanglement_nmi(zbatch, factors, n_bins: int = 8) -> dict:
-    """Sum over factors of the best-dimension NMI shortfall.
-
-    Constant factors are skipped and recorded as warnings.
-    """
+    """Sum over factors of the shortfall of the best dimension's NMI,
+    I / sqrt(H_dim H_factor) (0 when an entropy is 0).  Constant factors
+    are skipped and recorded as warnings."""
     z = as_samples(zbatch)
     factors = as_samples(factors)
     z_codes = [it.quantile_codes(z[:, d], n_bins) for d in range(z.shape[1])]
+    z_bits = [it.entropy_bits(zc) for zc in z_codes]
     score = 0.0
     per_factor = []
     skipped = []
@@ -203,7 +195,11 @@ def disentanglement_nmi(zbatch, factors, n_bins: int = 8) -> dict:
             skipped.append(u)
             continue
         u_codes = it.quantile_codes(col, n_bins)
-        best = max(_nmi_bits(zc, u_codes) for zc in z_codes)
+        hu = it.entropy_bits(u_codes)
+        best = max(
+            (hu - it.conditional_entropy_bits(u_codes, zc)) / np.sqrt(hz * hu)
+            if hz > 0.0 and hu > 0.0 else 0.0
+            for zc, hz in zip(z_codes, z_bits))
         per_factor.append(float(best))
         score += 1.0 - best
     return {"score": float(score), "best_nmi_per_factor": per_factor,
@@ -214,7 +210,8 @@ _DISCRETE_SUPPORT_MAX = 64
 
 
 def sufficiency_surrogate(zbatch, xbatch, orbit_ids, n_bins: int = 8) -> float:
-    """Plug-in conditional mutual information I(X; Z | T) in bits.
+    """Plug-in conditional mutual information in bits,
+    I(X; Z | T) = H(X | T) - H(X | Z, T).
 
     Requires a finitely supported input space; continuous X is rejected with
     a not-applicable error.  Codes with small discrete support are used
@@ -228,7 +225,9 @@ def sufficiency_surrogate(zbatch, xbatch, orbit_ids, n_bins: int = 8) -> float:
     if np.unique(z_codes).size > _DISCRETE_SUPPORT_MAX:
         z_codes = it.discretize_codes(z, n_bins=n_bins)
     t_codes = it.rows_as_codes(orbit_ids)
-    return it.conditional_mi_bits(x_codes, z_codes, t_codes)
+    zt_codes = it.joint_codes(z_codes, t_codes)
+    return (it.conditional_entropy_bits(x_codes, t_codes)
+            - it.conditional_entropy_bits(x_codes, zt_codes))
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,9 @@ BLAS_ONE_THREAD_MAX = 1 << 18
 
 
 # Entries per block where no product sets the blocks: the probe AUC ranks
-# the n scores of max(1, BLOCK_ENTRIES // n) classes at a time, and its peak
-# memory is a few arrays of this size; the CSV reader converts its rows once
-# their text reaches this many characters.
+# the n scores of max(1, BLOCK_ENTRIES // (7 n)) classes at a time, so its
+# seven block arrays hold about this many entries in all; the CSV reader
+# converts its rows once their text reaches this many characters.
 BLOCK_ENTRIES = 1 << 16
 
 

@@ -27,10 +27,10 @@ Held-out evaluation takes the logits in the row blocks of
 ``numerics.row_blocks`` (the BLAS calls of ``numerics.matmul``), adds the
 bias and the softmax to each block in place, and keeps only each row's
 argmax and the columns of the classes present in the test targets: at
-n = 600 and k = 1 400 it peaks at about 6 MB, where the n x k logits and
+n = 600 and k = 1 400 it peaks at about 3.4 MB, where the n x k logits and
 their biased copy took 13.5 MB.  The macro one-vs-rest AUC ranks the scores
-of every present class in one pass, ties at their average rank, in blocks
-of about ``numerics.BLOCK_ENTRIES`` scores.
+of every present class, ties at their average rank, in class blocks whose
+arrays hold about ``numerics.BLOCK_ENTRIES`` entries in all.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def macro_ovr_auc(proba: np.ndarray, y_idx: np.ndarray, k: int) -> float:
     if present.size == 0:
         raise DegenerateError("AUC is undefined for a single-class target")
     u = np.empty(present.size)
-    step = max(1, BLOCK_ENTRIES // n)
+    step = max(1, BLOCK_ENTRIES // (7 * n))
     for lo in range(0, present.size, step):
         cls = present[lo:lo + step]
         scores = proba.T[cls]

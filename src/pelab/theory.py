@@ -11,8 +11,8 @@ F is priced over a law: every joint law of (X, Y) or (T, Y) is a
 mass 1/n per row) -- and every Bayes risk takes ``(codes, law, loss)``, one
 code row per atom.  ``bayes_risk`` makes a cell of each distinct code,
 ``empirical_bayes_risk`` of each quantile-histogram cell of a sampled law;
-both price the Bayes act per cell with ``risk_of_cells``.  The gradient of
-F is ``numerics.finite_diff``.
+both price the cells with ``infotheory.risk_of_cells``, the estimator of
+every information metric too.  The gradient of F is ``numerics.finite_diff``.
 
 One orthogonality check takes the link itself and computes what is fixed
 within it once: the injectivity witness's far pairs (``far_pairs``, orbit
@@ -33,44 +33,14 @@ import numpy as np
 
 from . import infotheory as it
 from .errors import ContractViolation, DegenerateError
+# bound here and called by this name, so a wrapper set on this module sees
+# every F that theory prices
+from .infotheory import LOSS_LOG, LOSS_ZERO_ONE, risk_of_cells
 from .numerics import Encoder, Rng, as_samples, evenly_spaced, finite_diff
 from .objectives import ObjectiveSpec, invariance_value_grad, perc_loss
 from .probes import LinearHead
 from .worlds import (Atoms, Batch, World, make_bernoulli_uv_world,
                      make_rotation_world, sample_batch, sample_law)
-
-LOSS_ZERO_ONE = "zero_one"
-LOSS_LOG = "log"
-
-
-def _posterior_loss(posteriors: np.ndarray, loss: str) -> np.ndarray:
-    """Bayes-act loss per posterior row: zero-one error of the argmax, or
-    the entropy in bits for log-loss."""
-    if loss == LOSS_ZERO_ONE:
-        return 1.0 - posteriors.max(axis=1)
-    if loss == LOSS_LOG:
-        mask = posteriors > 0
-        logs = np.log2(np.where(mask, posteriors, 1.0))
-        # subtracting from +0.0, not negating, keeps a one-hot row at +0.0
-        out = np.zeros(posteriors.shape[0])
-        out -= np.sum(np.where(mask, posteriors * logs, 0.0), axis=1)
-        return out
-    raise ContractViolation(f"unknown loss {loss!r}")
-
-
-def risk_of_cells(cells: np.ndarray, weights: np.ndarray,
-                  posteriors: np.ndarray, loss: str) -> float:
-    """Bayes risk when deciding from the cell id only: aggregate the joint
-    law per cell, form the cell posterior, and price the Bayes act."""
-    cells = np.asarray(cells, dtype=np.int64)
-    w_cell = np.bincount(cells, weights=weights)
-    post_cell = np.column_stack([
-        np.bincount(cells, weights=weights * col, minlength=w_cell.size)
-        for col in posteriors.T])
-    nonzero = w_cell > 0
-    post_cell[nonzero] /= w_cell[nonzero, None]
-    losses = _posterior_loss(post_cell[nonzero], loss)
-    return float(np.sum(w_cell[nonzero] * losses))
 
 
 def bayes_risk(codes: np.ndarray, law: Atoms, loss: str) -> float:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pelab.infotheory import (_quantile_positions, _sorted_quantiles,
-                              discretize_codes, entropy_bits, joint_codes,
-                              quantile_codes, rows_as_codes)
-from pelab.metrics import sufficiency_surrogate
-from pelab.theory import risk_of_cells
+                              conditional_entropy_bits, discretize_codes,
+                              entropy_bits, joint_codes, quantile_codes,
+                              risk_of_cells, rows_as_codes)
+from pelab.metrics import normalized_mi, sufficiency_surrogate
 
 
 def _grid_codes(x, tol=1e-9):
@@ -200,3 +201,111 @@ def test_sufficiency_one_bit_for_scaled_injective_code():
     x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     z = 1e10 * x + np.array([1e10, 2e10])
     assert abs(sufficiency_surrogate(z, x, x[:, 0]) - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Information values as log-loss risks of risk_of_cells
+# ---------------------------------------------------------------------------
+
+def _entropy_oracle(codes):
+    """The former plug-in entropy from code frequencies, kept as the oracle."""
+    p = np.bincount(np.asarray(codes, dtype=np.int64)) / len(codes)
+    p = p[p > 0]
+    return float(-np.sum(p * np.log2(p)))
+
+
+def _mi_oracle(a, b):
+    """The former I(A; B) = H(A) + H(B) - H(A, B), kept as the oracle."""
+    return (_entropy_oracle(a) + _entropy_oracle(b)
+            - _entropy_oracle(joint_codes(a, b)))
+
+
+def _cmi_oracle(a, b, cond):
+    """The former I(A; B | C) = H(A,C) + H(B,C) - H(A,B,C) - H(C), kept as
+    the oracle."""
+    return (_entropy_oracle(joint_codes(a, cond))
+            + _entropy_oracle(joint_codes(b, cond))
+            - _entropy_oracle(joint_codes(a, b, cond))
+            - _entropy_oracle(cond))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(100, 5000),
+       d=st.integers(1, 4), n_classes=st.integers(2, 8))
+def test_information_values_match_the_entropy_differences(seed, n, d,
+                                                          n_classes):
+    rng = np.random.default_rng(seed)
+    v = rng.integers(0, n_classes, n)
+    z = rng.normal(size=(n, d)) + v[:, None] * rng.random()
+    cells = discretize_codes(z, 8)
+    h_v = entropy_bits(v)
+    assert abs(h_v - _entropy_oracle(v)) <= 1e-12
+    assert abs(h_v - conditional_entropy_bits(v, cells)
+               - _mi_oracle(cells, v)) <= 1e-12
+    if h_v > 0.0:
+        assert abs(normalized_mi(z, v) * h_v
+                   - _mi_oracle(cells, v)) <= 1e-12
+    # I(X; Z | T) with a discrete X that the orbit T only partly explains
+    t = rng.integers(0, 3, n)
+    x = np.column_stack([(v + t) % n_classes, t])
+    x_codes, z_codes = rows_as_codes(x), rows_as_codes(z)
+    if np.bincount(z_codes).size > 64:
+        z_codes = cells
+    assert abs(sufficiency_surrogate(z, x, t)
+               - _cmi_oracle(x_codes, z_codes, t)) <= 1e-12
+
+
+def test_entropy_and_mi_do_not_depend_on_gaps_in_the_numbering():
+    rng = np.random.default_rng(5)
+    v = rng.integers(0, 6, 3000)
+    cells = discretize_codes(rng.normal(size=(3000, 2)) + v[:, None], 8)
+    # the same order, with gaps of every width up to beyond a counting pass
+    for gapped in (2 * v + 1, v * 1000 + 7, v ** 3 * 10 ** 12 - 5):
+        assert entropy_bits(gapped) == entropy_bits(v)
+        assert conditional_entropy_bits(gapped, cells) == \
+            conditional_entropy_bits(v, cells)
+    assert conditional_entropy_bits(v, 3 * cells + 2) == \
+        conditional_entropy_bits(v, cells)
+
+
+def test_sample_entropies_come_from_exact_counts():
+    # unit row weights make every mass a count, so equal shares of four
+    # labels give p = 1/4 exactly; summed masses of 1/n would not
+    v = np.arange(3000) % 4
+    cells = (np.arange(3000) // 4) % 3
+    assert entropy_bits(v) == 2.0
+    assert conditional_entropy_bits(v, cells) == 2.0
+    assert conditional_entropy_bits(v, 7 * v) == 0.0
+
+
+def test_label_risk_peak_memory_is_linear_in_the_rows():
+    # 20 000 distinct labels over 64 cells: a dense cell x label table
+    # would take 10 MB, the present pairs take O(n)
+    rng = np.random.default_rng(8)
+    labels = rng.permutation(20000)
+    cells = rng.integers(0, 64, 20000)
+    conditional_entropy_bits(labels, cells)
+    tracemalloc.start()
+    try:
+        conditional_entropy_bits(labels, cells)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6, peak
+
+
+@pytest.mark.parametrize("loss", ["zero_one", "log"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300),
+       k=st.integers(1, 40), n_classes=st.integers(2, 9))
+def test_labels_price_as_their_one_hot_posteriors(loss, seed, n, k,
+                                                  n_classes):
+    rng = np.random.default_rng(seed)
+    cells = rng.integers(0, k, n)
+    labels = rng.integers(0, n_classes, n)
+    weights = rng.random(n) * (rng.random(n) < 0.9)
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    weights /= weights.sum()
+    assert risk_of_cells(cells, weights, labels, loss) == \
+        risk_of_cells(cells, weights, np.eye(n_classes)[labels], loss)

@@ -423,6 +423,22 @@ def test_evaluate_probe_rejects_a_single_class(k, target):
         evaluate_probe(head, rng.normal(size=(40, 4)), y)
 
 
+def test_macro_ovr_auc_block_budget_covers_all_its_arrays():
+    # 600 rows and 1 400 classes: a budget of BLOCK_ENTRIES scores per
+    # array, not in all, let the rank blocks take 3.4 MB
+    rng = np.random.default_rng(12)
+    proba = rng.random((600, 1400))
+    y = rng.integers(0, 1400, 600)
+    macro_ovr_auc(proba, y, 1400)
+    tracemalloc.start()
+    try:
+        macro_ovr_auc(proba, y, 1400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6, peak
+
+
 def test_evaluate_probe_peak_memory_is_blocked():
     # the rotation certify fixture's leakage probe: 600 held-out rows and
     # k = 1 400 classes; the dense logits and their biased copy took

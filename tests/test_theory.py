@@ -6,19 +6,20 @@ from hypothesis import strategies as st
 from pelab import infotheory as it
 from pelab import theory
 from pelab.errors import ContractViolation
+from pelab.infotheory import risk_of_cells
 from pelab.numerics import Encoder, Rng, as_samples, make_encoder, matmul
 from pelab.objectives import (ObjectiveSpec, covariance_penalty_value_grad,
                               infonce_value_grad, invariance_value_grad,
                               variance_floor_value_grad)
 from pelab.probes import LinearHead
 from pelab.theory import (_PERCEPTION_SPEC, _family_gradient,
-                          _posterior_loss, assumption_audit, bayes_risk,
+                          assumption_audit, bayes_risk,
                           bayes_risk_through_encoder, empirical_bayes_risk,
                           factorization_residual, far_pairs,
                           injectivity_witness, monotone_scalar_link,
                           orbit_merging_link,
                           orthogonality_check, over_invariance_check,
-                          risk_of_cells, risk_table,
+                          risk_table,
                           run_scenario, task_risk, two_stage_check)
 from pelab.trainer import TrainConfig, train_head, train_perception
 from pelab.worlds import (Atoms, make_bernoulli_uv_world, make_rotation_world,
@@ -90,8 +91,21 @@ def test_coarsening_never_decreases_bayes_risk(bernoulli_world):
             assert merged >= base - 1e-15, (loss, merge)
 
 
+def _row_loss(posteriors, loss):
+    """The former dense pricing, kept as the oracle: the Bayes-act loss of
+    each posterior row, over every column."""
+    if loss == "zero_one":
+        return 1.0 - posteriors.max(axis=1)
+    mask = posteriors > 0
+    logs = np.log2(np.where(mask, posteriors, 1.0))
+    out = np.zeros(posteriors.shape[0])
+    out -= np.sum(np.where(mask, posteriors * logs, 0.0), axis=1)
+    return out
+
+
 def _scatter_add_risk(cells, weights, posteriors, loss):
-    """The former np.add.at cell aggregation, kept as the oracle."""
+    """The former np.add.at cell aggregation and dense row pricing, kept as
+    the oracle."""
     k = int(cells.max()) + 1
     w_cell = np.zeros(k)
     np.add.at(w_cell, cells, weights)
@@ -99,7 +113,7 @@ def _scatter_add_risk(cells, weights, posteriors, loss):
     np.add.at(post_cell, cells, weights[:, None] * posteriors)
     nonzero = w_cell > 0
     post_cell[nonzero] /= w_cell[nonzero, None]
-    losses = _posterior_loss(post_cell[nonzero], loss)
+    losses = _row_loss(post_cell[nonzero], loss)
     return float(np.sum(w_cell[nonzero] * losses))
 
 
