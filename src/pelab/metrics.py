@@ -236,6 +236,56 @@ def sufficiency_surrogate(zbatch, xbatch, orbit_ids, n_bins: int = 8) -> float:
 
 _BANDWIDTH_SAMPLE_MAX = 512
 
+# A squared distance taken as (aa + bb) - 2ab rounds by about (d + 2) eps
+# (aa + bb).  Below _NEAR (aa + bb) that is a large share of it, so such
+# near pairs take their distance from differences; at every other pair the
+# rounding is at most (d + 2) eps / _NEAR of the distance, and it moves a
+# kernel entry exp(-d^2 / 2h^2) by at most (d + 2) eps / (e _NEAR).  Where
+# max(aa + bb) / (2 h^2) <= 1 / (e _NEAR) no pair's rounding moves an entry
+# by more than that either, and the distances are left as they are.
+_NEAR = 2.0 ** -8
+
+
+def _near_matters(sq_sum_max: float, two_h2: float) -> bool:
+    """Whether the expansion's rounding at squared norms summing to at most
+    ``sq_sum_max`` can move a kernel entry at the scale ``two_h2`` = 2 h^2
+    by more than it moves one at a pair that is not near:
+    max(aa + bb) / (2 h^2) > 1 / (e _NEAR)."""
+    return sq_sum_max * np.e * _NEAR > two_h2
+
+
+def _near_from_differences(d2, a, b, aa, bb):
+    """Overwrite the entries of ``d2`` = (aa + bb) - 2 a b' (rows of ``a``
+    against rows of ``b``, with ``aa`` a column and ``bb`` a row of squared
+    norms) that lie below ``_NEAR`` (aa + bb) with |a_i - b_j|^2 summed
+    from differences.  Bitwise-equal rows get exactly 0."""
+    i, j = np.nonzero(d2 < _NEAR * (aa + bb))
+    if i.size:
+        diff = a[i] - b[j]
+        d2[i, j] = np.einsum("ij,ij->i", diff, diff)
+
+
+def _median_distance(pooled: np.ndarray, sq: np.ndarray, ids: np.ndarray,
+                     near: bool) -> float:
+    n, d = pooled.shape
+    cols = np.arange(n)
+    d2 = np.empty(n * (n - 1) // 2)
+    at = 0
+    for lo, hi in row_blocks(n, d, n):
+        blk = np.matmul(pooled[lo:hi], pooled.T)
+        blk *= 2.0
+        dist = sq[lo:hi, None] + sq
+        dist -= blk
+        if near:
+            _near_from_differences(dist, pooled[lo:hi], pooled,
+                                   sq[lo:hi, None], sq)
+        np.maximum(dist, 0.0, out=dist)
+        dist[ids[lo:hi, None] == ids] = 0.0
+        upper = dist[cols > cols[lo:hi, None]]
+        d2[at:at + upper.size] = upper
+        at += upper.size
+    return float(np.median(d2, overwrite_input=True))
+
 
 def median_bandwidth_sq(pooled: np.ndarray) -> float:
     """Half the median squared distance over the pairs of an evenly spaced
@@ -246,25 +296,15 @@ def median_bandwidth_sq(pooled: np.ndarray) -> float:
     order of operations), and each block's pairs above the diagonal are
     written into one condensed vector of n (n - 1) / 2 entries, so no
     n x n matrix exists.  Two bitwise-equal rows are at distance exactly 0,
-    not the rounding noise of that formula."""
+    not the rounding noise of that formula.  When that median is small
+    against the squared norms (``_near_matters``), it is taken again with
+    the near pairs' distances from differences."""
     pooled = evenly_spaced(pooled, _BANDWIDTH_SAMPLE_MAX)
-    n, d = pooled.shape
     sq = np.sum(pooled * pooled, axis=1)
     ids = row_ids(pooled)
-    cols = np.arange(n)
-    d2 = np.empty(n * (n - 1) // 2)
-    at = 0
-    for lo, hi in row_blocks(n, d, n):
-        blk = np.matmul(pooled[lo:hi], pooled.T)
-        blk *= 2.0
-        dist = sq[lo:hi, None] + sq
-        dist -= blk
-        np.maximum(dist, 0.0, out=dist)
-        dist[ids[lo:hi, None] == ids] = 0.0
-        upper = dist[cols > cols[lo:hi, None]]
-        d2[at:at + upper.size] = upper
-        at += upper.size
-    med = float(np.median(d2, overwrite_input=True))
+    med = _median_distance(pooled, sq, ids, False)
+    if med > 0 and _near_matters(2.0 * sq.max(), med):
+        med = _median_distance(pooled, sq, ids, True)
     return med / 2.0 if med > 0 else 1.0
 
 
@@ -293,9 +333,13 @@ def _kernel_sum(a: np.ndarray, wa: np.ndarray, b: np.ndarray,
     the pairs of an input row with itself, sum_i wa_i k(a_i, a_i), are left
     out and only the blocks on and right of the diagonal are formed.
     Unit weights (rows all distinct) change no bit and are not multiplied
-    in, so those sums cost no pass over the kernel entries."""
+    in, so those sums cost no pass over the kernel entries.
+
+    Near pairs take their squared distance from differences where that
+    can matter (``_near_matters``, ``_near_from_differences``)."""
     aa = np.sum(a * a, axis=1)[:, None]
     bb = np.sum(b * b, axis=1)[None, :]
+    near = _near_matters(aa.max() + bb.max(), 1.0 / inv_2h2)
     weighted = wa.max() > 1 or wb.max() > 1
     total = 0.0
     for lo, hi in row_blocks(a.shape[0], a.shape[1], b.shape[0]):
@@ -304,6 +348,9 @@ def _kernel_sum(a: np.ndarray, wa: np.ndarray, b: np.ndarray,
         blk *= -2.0
         blk += aa[lo:hi]
         blk += bb[:, cols]
+        if near:
+            _near_from_differences(blk, a[lo:hi], b[cols], aa[lo:hi],
+                                   bb[:, cols])
         np.maximum(blk, 0.0, out=blk)
         blk *= -inv_2h2
         np.exp(blk, out=blk)

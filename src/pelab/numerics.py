@@ -6,16 +6,18 @@ All arrays are numpy float64 in row-major layout.  Batches are (n, d) with one
 sample per row.  Encoders are either a plain linear map or a one-hidden-layer
 tanh network ("mlp1"); both expose forward evaluation, the input Jacobians of
 a batch (one point is the one-row case), and parameter backpropagation for an
-arbitrary upstream code gradient.  An encoder keeps its parameters in one
+arbitrary upstream code gradient; the mlp1 bias gradients are column sums
+taken by einsum, without BLAS.  An encoder keeps its parameters in one
 flat buffer whose views are its weight matrices and biases, so a descent step
 adds its update in place.  A two-view loss reads a batch of view pairs
 stacked once (``worlds.Batch.pairs``, first views over second views): both
 views go through one forward and one backprop, and their code gradients are
 the two halves of one array.  ``distinct_rows`` gives the first occurrence
 and the count of each distinct row, the weights by which the probes and the
-kernel sums visit repeated rows once.  ``exp_rows`` is the one row
-exponentiation that InfoNCE and the probes share: unshifted while the logits'
-bound allows it, shifted by each row's maximum beyond.  ``matmul`` is the
+kernel sums visit repeated rows once.  ``exp_rows`` is the row
+exponentiation that the probes and InfoNCE's shifted and one-sided losses
+share: unshifted while the logits' bound allows it, shifted by each row's
+maximum beyond.  ``matmul`` is the
 product that every matrix with one row per sample goes through: it keeps
 each BLAS call small enough to run on the calling thread.  Its row blocks
 (``row_blocks``) also serve code that consumes a product one block at a
@@ -344,16 +346,22 @@ class Encoder:
             raise ContractViolation("grad_z shape must match forward output")
         if self.arch == ARCH_LINEAR:
             dW1 = grad_z.T @ xbatch
+            # ndarray.sum, not einsum: a one-column gradient (d_z = 1) sums
+            # pairwise, and the over-invariance descent reports those bits
             db1 = grad_z.sum(axis=0)
             return np.concatenate([dW1.ravel(), db1])
         h = self._hidden(xbatch) if hidden is None else hidden
         dW2 = grad_z.T @ h
-        db2 = grad_z.sum(axis=0)
-        dh = matmul(grad_z, self.W2)
-        da = dh * (1.0 - h * h)
+        da = matmul(grad_z, self.W2)
+        slope = h * h                       # 1 - h^2, formed in place
+        np.subtract(1.0, slope, out=slope)
+        da *= slope
         dW1 = da.T @ xbatch
-        db1 = da.sum(axis=0)
-        return np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2])
+        # the bias gradients are column sums, which einsum adds row after
+        # row in about half the time of ndarray.sum, and without BLAS (a
+        # GEMV against a ones vector could reach a thread pool)
+        return np.concatenate([dW1.ravel(), np.einsum("ij->j", da),
+                               dW2.ravel(), np.einsum("ij->j", grad_z)])
 
 
 def make_encoder(arch: str, d_x: int, d_z: int, d_hidden: int = 0,

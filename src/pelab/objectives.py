@@ -6,15 +6,22 @@ code matrices, and the composite backpropagates those through the encoder's
 parameters in one stacked pass over both views.  No labels are consumed
 anywhere in this module.
 
-InfoNCE exponentiates its n x n logit matrix in place with
-``numerics.exp_rows`` and takes its gradient through thin (n x d) matmuls
-against it, so no dense n x n gradient is built.  The shift rule reads an
-O(n d) bound on |L|: 1/tau for cosine logits, max|z_i| max|z+_j| / tau for
-dot logits (Cauchy-Schwarz).  While 2 bound <= 700 the logits stay
-unshifted and one exp pass serves both directions of the symmetric loss;
-wider dot logits are shifted per row, and the symmetric loss is then the
-mean of the two one-sided losses, taken one after the other with one n x n
-buffer each.
+InfoNCE exponentiates its n x n logit matrix in place and takes its
+gradient through thin (n x d) matmuls against it, so no dense n x n
+gradient is built.  The shift rule reads an O(n d) bound on |L|: 1/tau for
+cosine logits, max|z_i| max|z+_j| / tau for dot logits (Cauchy-Schwarz).
+While 2 bound <= 700 the logits stay unshifted and one exp pass serves both
+directions of the symmetric loss, its row sums taken by one einsum pass;
+wider dot logits are shifted per row (``numerics.exp_rows``), and the
+symmetric loss is then the mean of the two one-sided losses, taken one
+after the other with one n x n buffer each.  Cosine logits read their row
+norms, and the normalization's gradient its row dots, from einsum.
+
+The variance floor and the covariance penalty are priced by one kernel,
+``diversity_value_grad``, from one centred covariance: both gradients are
+the centred codes times one d x d matrix.  ``variance_floor_value_grad``
+and ``covariance_penalty_value_grad`` are its two terms, which the
+geometry diagnostics report.
 """
 
 from __future__ import annotations
@@ -102,18 +109,28 @@ def _nce_thin(x, y, bound, symmetric):
         return 0.5 * (v1 + v2), 0.5 * (gx1 + gx2), 0.5 * (gy1 + gy2)
     e = matmul(x, y.T)
     pos = e.diagonal().copy()
-    c, rows = exp_rows(e, bound)
-    row_loss = float(np.mean(c + np.log(rows) - pos))
     if not symmetric:
+        c, rows = exp_rows(e, bound)
         a = (1.0 / n / rows)[:, None]
-        return row_loss, a * matmul(e, y) - y / n, matmul(e.T, a * x) - x / n
-    cols = e.sum(axis=0)
-    value = 0.5 * (row_loss + float(np.mean(np.log(cols) - pos)))
+        return (float(np.mean(c + np.log(rows) - pos)),
+                a * matmul(e, y) - y / n, matmul(e.T, a * x) - x / n)
+    # unshifted: exp_rows without its row sums, which one einsum pass
+    # takes in about half the time of e.sum(axis=1)
+    np.exp(e, out=e)
+    rows, cols = np.einsum("ij->i", e), e.sum(axis=0)
+    value = 0.5 * (float((np.log(rows) - pos).sum()) / n
+                   + float((np.log(cols) - pos).sum()) / n)
     a = (0.5 / n / rows)[:, None]
     b = (0.5 / n / cols)[:, None]
     gx = a * matmul(e, y) + matmul(e, b * y) - y / n
     gy = matmul(e.T, a * x) + b * matmul(e.T, x) - x / n
     return value, gx, gy
+
+
+def _row_dots(a, b):
+    """The dot product of each row of ``a`` with the same row of ``b``, as
+    an (n, 1) column: one einsum pass, without ``np.sum``'s dispatch."""
+    return np.einsum("ij,ij->i", a, b)[:, None]
 
 
 def infonce_value_grad(z, zp, tau, sim=SIM_DOT, symmetric=True):
@@ -130,49 +147,67 @@ def infonce_value_grad(z, zp, tau, sim=SIM_DOT, symmetric=True):
         value, gx, gzp = _nce_thin(x, zp, bound, symmetric)
         return value, gx / tau, gzp
     # cosine: normalize rows, differentiate through the normalization
-    zn = np.maximum(np.linalg.norm(z, axis=1, keepdims=True), _NORM_FLOOR)
-    zpn = np.maximum(np.linalg.norm(zp, axis=1, keepdims=True), _NORM_FLOOR)
+    zn = np.maximum(np.sqrt(_row_dots(z, z)), _NORM_FLOOR)
+    zpn = np.maximum(np.sqrt(_row_dots(zp, zp)), _NORM_FLOOR)
     zh, zph = z / zn, zp / zpn
     value, gx, gzph = _nce_thin(zh / tau, zph, 1.0 / tau, symmetric)
     gzh = gx / tau
-    gz = (gzh - np.sum(gzh * zh, axis=1, keepdims=True) * zh) / zn
-    gzp = (gzph - np.sum(gzph * zph, axis=1, keepdims=True) * zph) / zpn
+    gz = (gzh - _row_dots(gzh, zh) * zh) / zn
+    gzp = (gzph - _row_dots(gzph, zph) * zph) / zpn
     return value, gz, gzp
 
 
-def variance_floor_value_grad(z, gamma):
-    """Hinge shortfall of per-dimension unbiased variance below gamma.
+def diversity_value_grad(z, gamma, w_var, w_cov):
+    """The variance floor and the covariance penalty of one code batch from
+    one centred covariance: (variance-floor value, covariance value,
+    w_var dVar/dz + w_cov dCov/dz).
 
-    The subgradient at Var(Z_d) == gamma is taken on the inactive side
-    (zero), so gradient checks skip that measure-zero kink.
+    The variance floor is the hinge shortfall of each dimension's unbiased
+    variance below gamma; its subgradient at Var(Z_d) == gamma is taken on
+    the inactive side (zero), so gradient checks skip that measure-zero
+    kink.  The covariance penalty is the sum of squared off-diagonal
+    covariance entries (both orderings).
     """
     n = z.shape[0]
     if n < 2:
-        raise DegenerateError("variance floor requires n >= 2")
-    centered = z - z.mean(axis=0)
-    var = np.sum(centered * centered, axis=0) / (n - 1)
+        raise DegenerateError(
+            "the variance floor and the covariance penalty require n >= 2")
+    # ndarray methods skip np.sum's and np.mean's dispatch layers, with the
+    # same bits (a mean is the sum over n)
+    centered = z - z.sum(axis=0) / n
+    var = (centered * centered).sum(axis=0) / (n - 1)
     active = var < gamma
-    value = float(np.sum(gamma - var[active]))
-    grad = np.zeros_like(z)
-    # d Var_d / d z_id = 2 centered_id / (n-1); centering adds nothing because
-    # the per-column gradient sums already vanish.
-    grad[:, active] = -(2.0 / (n - 1)) * centered[:, active]
+    var_value = float((gamma - var[active]).sum())
+    cov = centered.T @ centered / (n - 1)
+    off = cov - np.diag(np.diag(cov))
+    cov_value = float((off * off).sum())
+    # both gradients are centered @ K: d Var_d / d z_id = 2 centered_id /
+    # (n-1) puts -2 w_var / (n-1) on K's active diagonal, and dPhi/dC =
+    # 2 off (symmetric, zero diagonal) puts 4 w_cov off / (n-1) beside it.
+    # The columns of the result sum to zero, so the centering's chain rule
+    # adds nothing.
+    k = (4.0 * w_cov / (n - 1)) * off
+    k.flat[::k.shape[0] + 1] = np.where(active, -2.0 * w_var / (n - 1), 0.0)
+    return var_value, cov_value, matmul(centered, k)
+
+
+def variance_floor_value_grad(z, gamma):
+    """Hinge shortfall of per-dimension unbiased variance below gamma
+    (``diversity_value_grad``'s first term)."""
+    value, _, grad = diversity_value_grad(z, gamma, 1.0, 0.0)
     return value, grad
 
 
 def covariance_penalty_value_grad(z):
-    """Sum of squared off-diagonal covariance entries (both orderings)."""
-    n = z.shape[0]
-    if n < 2:
-        raise DegenerateError("covariance penalty requires n >= 2")
-    centered = z - z.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
-    off = cov - np.diag(np.diag(cov))
-    value = float(np.sum(off * off))
-    # dPhi/dC is 2*off (symmetric, zero diagonal); columns of the result sum
-    # to zero, so the centering chain rule is again a no-op.
-    grad = matmul((2.0 / (n - 1)) * centered, 2.0 * off)
+    """Sum of squared off-diagonal covariance entries, both orderings
+    (``diversity_value_grad``'s second term)."""
+    _, value, grad = diversity_value_grad(z, 0.0, 0.0, 1.0)
     return value, grad
+
+
+def _scaled(w, g):
+    """w g, without a pass when w is 1: 1.0 * g is g, bit for bit."""
+    return g if w == 1.0 else w * g
 
 
 def perc_loss(enc, batch, spec: ObjectiveSpec, rho_source=None):
@@ -187,30 +222,33 @@ def perc_loss(enc, batch, spec: ObjectiveSpec, rho_source=None):
     def code_loss(z2):
         # the codes of both views, stacked; each view's gradient is a half
         z, zp = z2[:n], z2[n:]
-        terms = []   # (name, weight, value, dL/dz, dL/dzp or None)
-        if spec.beta_inv > 0:
-            terms.append(("inv", spec.beta_inv, *invariance_value_grad(z, zp)))
-        if spec.use_nce:
-            terms.append(("nce", 1.0, *infonce_value_grad(
-                z, zp, spec.tau, spec.sim, spec.symmetric_nce)))
-        if spec.w_var > 0:
-            terms.append(("var", spec.w_var,
-                          *variance_floor_value_grad(z, spec.gamma), None))
-        if spec.w_cov > 0:
-            terms.append(("cov", spec.w_cov,
-                          *covariance_penalty_value_grad(z), None))
-        if spec.w_eq > 0:
-            mats = rho_batch(rho_source, batch.deltas, z.shape[1])
-            terms.append(("eq", spec.w_eq,
-                          *equivariance_value_grad(z, zp, mats)))
         g2 = np.zeros(z2.shape)
         gz, gzp = g2[:n], g2[n:]
-        for name, w, v, g, gp in terms:
-            # a weight of 1 multiplies nothing: 1.0 * g is g, bit for bit
-            components[name] = w * v
-            gz += g if w == 1.0 else w * g
-            if gp is not None:
-                gzp += gp if w == 1.0 else w * gp
+        if spec.beta_inv > 0:
+            v, g, gp = invariance_value_grad(z, zp)
+            components["inv"] = spec.beta_inv * v
+            gz += _scaled(spec.beta_inv, g)
+            gzp += _scaled(spec.beta_inv, gp)
+        if spec.use_nce:
+            v, g, gp = infonce_value_grad(z, zp, spec.tau, spec.sim,
+                                          spec.symmetric_nce)
+            components["nce"] = v
+            gz += g
+            gzp += gp
+        if spec.w_var > 0 or spec.w_cov > 0:
+            v_var, v_cov, g = diversity_value_grad(z, spec.gamma, spec.w_var,
+                                                   spec.w_cov)
+            if spec.w_var > 0:
+                components["var"] = spec.w_var * v_var
+            if spec.w_cov > 0:
+                components["cov"] = spec.w_cov * v_cov
+            gz += g
+        if spec.w_eq > 0:
+            mats = rho_batch(rho_source, batch.deltas, z.shape[1])
+            v, g, gp = equivariance_value_grad(z, zp, mats)
+            components["eq"] = spec.w_eq * v
+            gz += _scaled(spec.w_eq, g)
+            gzp += _scaled(spec.w_eq, gp)
         return float(sum(components.values())), g2
 
     total, grad = param_gradient(enc, code_loss, batch.pairs)

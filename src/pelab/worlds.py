@@ -180,15 +180,18 @@ class Batch:
 def sample_batch(world: World, n: int, rng: Rng, sigma=None,
                  with_labels: bool = True) -> Batch:
     """Draw n i.i.d. inputs plus one transformed view each; ``sigma`` is
-    passed to the family's ``sample_delta`` (the trainer's view spread)."""
+    passed to the family's ``sample_delta`` (the trainer's view spread).
+    ``with_labels=False`` gives a label-free batch: no label, nuisance or
+    orbit value, and the same inputs and views from the same draws."""
     if n < 1:
         raise ContractViolation("sample_batch requires n >= 1")
     x, y = world.sample_xy(rng, n)
     deltas = world.transforms.sample_delta(rng, n, sigma)
     x_plus = world.transforms.apply(deltas, x)
+    if not with_labels:
+        return Batch(x, x_plus, deltas)
     v = world.nuisance(x, deltas) if world.nuisance is not None else None
-    t = world.orbit_map(x)
-    return Batch(x, x_plus, deltas, v, t, y if with_labels else None)
+    return Batch(x, x_plus, deltas, v, world.orbit_map(x), y)
 
 
 def sample_law(world: World, rng: Rng, n: int) -> Atoms:

@@ -251,6 +251,26 @@ def test_report_bytes_do_not_depend_on_the_blas_thread_default(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_training_bytes_do_not_depend_on_the_blas_thread_default(tmp_path):
+    # 20 steps of mlp1 training with InfoNCE, variance and covariance at
+    # the headline run's batch and width, then their certification, in
+    # fresh processes with pelab's one-thread BLAS and with a pool of two
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("seed = 5\nworld.kind = rotation\nencoder.arch = mlp1\n"
+                   "encoder.d_hidden = 32\ntrain.steps = 20\n"
+                   "train.batch_size = 256\nobjective.use_nce = true\n"
+                   "objective.w_var = 1.0\nobjective.w_cov = 1.0\n"
+                   "metrics.n = 512\nmetrics.probe_efficiency = false\n")
+    outputs = []
+    for blas_env in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        out = tmp_path / f"threads{len(outputs)}"
+        run_fresh_python(["-m", "pelab.cli", "run", "--config", str(cfg),
+                          "--quiet", "--out", str(out)], **blas_env)
+        outputs.append([(out / name).read_bytes()
+                        for name in ("report.json", "trainlog.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_run_missing_config_exits_2(tmp_path):
     assert run_cli("run", "--config", "no_such_config",
                    "--out", str(tmp_path)) == 2

@@ -417,8 +417,12 @@ def test_separability_far_clusters_matches_brute_force():
 
 
 def _dense_kernel(p, q, h2):
-    d2 = (np.sum(p * p, axis=1)[:, None] + np.sum(q * q, axis=1)[None, :]
-          - 2.0 * (p @ q.T))
+    """The full kernel matrix, its squared distances taken as separability
+    takes them: (aa + bb) - 2ab, and near pairs from differences."""
+    pp = np.sum(p * p, axis=1)[:, None]
+    qq = np.sum(q * q, axis=1)[None, :]
+    d2 = pp + qq - 2.0 * (p @ q.T)
+    metrics._near_from_differences(d2, p, q, pp, qq)
     return np.exp(-np.maximum(d2, 0.0) / (2.0 * h2))
 
 
@@ -492,6 +496,26 @@ def test_median_bandwidth_sq_of_mostly_equal_rows_is_the_fallback():
         assert metrics.median_bandwidth_sq(pooled) == 1.0
 
 
+# five codes against one, 1.28e-3 from the fourth (the parts of that pair
+# are 0.8 apart from the origin, so aa + bb - 2ab rounds its 1.6e-6 by
+# about 1e-16)
+_NEAR_PAIR_GROUPS = [
+    np.repeat([-0.29374136, 0.0631464, 0.73012105, 0.7800462001, 1.57900653],
+              [173, 4, 1, 117, 87])[np.random.default_rng(2).permutation(382),
+                                    None],
+    np.full((387, 1), 0.7787675576)]
+
+
+def test_median_bandwidth_sq_takes_near_pairs_from_differences():
+    # the median pair of these groups is the near pair: aa + bb - 2ab put
+    # h^2 4.3e-11 relative off, and its distance from differences is exact
+    pooled = evenly_spaced(np.concatenate(_NEAR_PAIR_GROUPS), 512)
+    i, j = np.triu_indices(len(pooled), k=1)
+    diff = pooled[i] - pooled[j]
+    exact = float(np.median(np.einsum("ij,ij->i", diff, diff))) / 2.0
+    assert metrics.median_bandwidth_sq(pooled) == exact
+
+
 @st.composite
 def _repeated_groups(draw):
     """Two code groups of 20 to 600 rows, each drawn from 1 to 6 distinct
@@ -534,6 +558,10 @@ def test_kernel_sums_over_distinct_rows_match_dense_kernels(groups, h2):
 # one code per group, 20 rows against 464: aa + bb - 2ab put the equal
 # rows at 4.4e-16 apart, and that median was taken for the bandwidth
 @example([np.tile([0.35, -7.44], (20, 1)), np.tile([-1.29, 1.42], (464, 1))])
+# five codes against one, 1.28e-3 from the fourth: that pair sets h^2 at
+# 8.2e-7, and aa + bb - 2ab, which rounds by about 1e-16, moved its kernel
+# entries by 4e-11 (blocked and dense oracle 1.5e-11 apart)
+@example(_NEAR_PAIR_GROUPS)
 def test_separability_on_repeated_rows_matches_dense_kernels(groups):
     a, b = groups
     res = separability(a, b)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pelab
@@ -534,3 +534,36 @@ def test_perc_loss_gradient_matches_finite_differences_20_configs():
         fd = finite_diff(f, enc.get_flat_params(), 1e-5)
         err = relative_l2_error(grad, fd)
         assert err <= 1e-4, f"trial {trial}: {err}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(arch=st.sampled_from(["linear", "mlp1"]),
+       sim=st.sampled_from(["cosine", "dot"]), symmetric=st.booleans(),
+       terms=st.sampled_from(["var", "cov", "both"]), split=st.integers(1, 2),
+       seed=st.integers(0, 2**16))
+def test_diversity_and_infonce_gradients_match_finite_differences(
+        arch, sim, symmetric, terms, split, seed):
+    # the shared variance-covariance kernel and InfoNCE's sums, against
+    # central differences of the composite, with the variance floor between
+    # the codes' sorted variances: dimensions below it active, above inactive
+    rng = Rng(seed)
+    enc = make_encoder(arch, 2, 3, 5, rng)
+    batch = sample_batch(make_rotation_world(), 12, rng, with_labels=False)
+    var = np.sort(enc.forward(batch.x).var(axis=0, ddof=1))
+    assume(var[split] > 1.2 * var[split - 1])   # no kink within a step
+    spec = ObjectiveSpec(beta_inv=0.5, use_nce=True, tau=0.7, sim=sim,
+                         symmetric_nce=symmetric,
+                         gamma=float(np.sqrt(var[split - 1] * var[split])),
+                         w_var=1.3 if terms != "cov" else 0.0,
+                         w_cov=0.7 if terms != "var" else 0.0)
+    _, grad, comps = perc_loss(enc, batch, spec)
+    if terms != "cov":
+        assert comps["var"] > 0.0              # some dimension is active
+
+    def total(p):
+        e = enc.copy()
+        e.set_flat_params(p)
+        return perc_loss(e, batch, spec)[0]
+
+    fd = finite_diff(total, enc.get_flat_params(), 1e-5)
+    assert relative_l2_error(grad, fd) <= 1e-5

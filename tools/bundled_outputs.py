@@ -1,6 +1,7 @@
 """Write the bundled outputs of one source tree, for byte-for-byte comparison.
 
 Usage: python tools/bundled_outputs.py TREE OUT
+       python tools/bundled_outputs.py --compare OUT_OLD OUT_NEW
 
 Runs TREE's own ``src`` (and the CSV fixtures of TREE's ``bench/fixtures.py``)
 in fresh processes and writes, each under its own directory of OUT:
@@ -17,6 +18,12 @@ compute the same numbers give OUT directories that ``diff -r`` finds equal:
     python tools/bundled_outputs.py old_tree out_old
     python tools/bundled_outputs.py . out_new
     diff -r out_old out_new
+
+``--compare`` reads two such OUT directories and prints each headline value
+(``bench/checks.headline``) that differs between them, with the share of
+its ``bench/checks.TOLERANCE`` (trained or default) that the difference
+uses; 100 % or more would fail the benchmark's reference check.  It exits 0
+whatever it finds.
 """
 
 from __future__ import annotations
@@ -26,6 +33,9 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from checks import TOLERANCE, TRAINED_KEYS, headline, strict_load  # noqa: E402
 
 RUN_CONFIGS = ("rotation_pel", "bernoulli_counterexample")
 SCENARIOS = ("orthogonality_rotation", "over_invariance_bernoulli",
@@ -57,11 +67,52 @@ def _commands(fixture_dir: Path) -> list:
     return cmds
 
 
+def _op_key(name: str) -> str:
+    """The benchmark's op key of an output directory: ``run_rotation_pel``
+    is ``run:rotation_pel``, ``certify_rotation_0`` is ``certify:rotation``."""
+    kind, _, rest = name.partition("_")
+    if kind == "certify":
+        rest = rest.split("_")[0]
+    return f"{kind}:{rest}"
+
+
+def compare(old: Path, new: Path) -> list:
+    """One line per headline value that differs between two OUT
+    directories: the old and new value and the share of its tolerance."""
+    lines = []
+    for old_dir in sorted(p for p in old.iterdir() if p.is_dir()):
+        new_dir = new / old_dir.name
+        if not (old_dir / "report.json").exists() \
+                or not (new_dir / "report.json").exists():
+            continue
+        key = _op_key(old_dir.name)
+        kind = "trained" if key in TRAINED_KEYS else "default"
+        tol = TOLERANCE[kind]
+        was = headline(strict_load(old_dir / "report.json"), old_dir)
+        now = headline(strict_load(new_dir / "report.json"), new_dir)
+        for name in sorted(set(was) | set(now)):
+            a, b = was.get(name), now.get(name)
+            if a == b:
+                continue
+            if a is None or b is None:
+                lines.append(f"{old_dir.name} {name}: {a!r} -> {b!r}")
+                continue
+            share = abs(b - a) / (tol["abs"] + tol["rel"] * abs(a))
+            lines.append(f"{old_dir.name} {name}: {a!r} -> {b!r} "
+                         f"({share:.2%} of the {kind} tolerance)")
+    return lines
+
+
 def main() -> int:
     args = sys.argv[1:]
+    if len(args) == 3 and args[0] == "--compare":
+        lines = compare(Path(args[1]), Path(args[2]))
+        print("\n".join(lines) if lines else "no headline value moved")
+        return 0
     if len(args) != 2:
-        print("usage: python tools/bundled_outputs.py TREE OUT",
-              file=sys.stderr)
+        print("usage: python tools/bundled_outputs.py TREE OUT\n"
+              "       python tools/bundled_outputs.py --compare OUT_OLD "
+              "OUT_NEW", file=sys.stderr)
         return 2
     tree, out = Path(args[0]).resolve(), Path(args[1]).resolve()
     out.mkdir(parents=True, exist_ok=True)
