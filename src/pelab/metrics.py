@@ -24,8 +24,8 @@ import numpy as np
 from . import infotheory as it
 from .errors import ContractViolation, DegenerateError, NotApplicableError
 from .numerics import (Encoder, Rng, as_samples, distinct_rows, evenly_spaced,
-                       matmul, row_blocks, row_ids)
-from .objectives import covariance_penalty_value_grad, variance_floor_value_grad
+                       matmul, row_blocks)
+from .objectives import diversity_value_grad
 from .probes import fit_linear_probe, evaluate_probe, probe_split_evaluate
 from .worlds import World, sample_batch
 
@@ -145,8 +145,8 @@ def geometry_diagnostics(zbatch, gamma: float) -> dict:
     DegenerateError, and the overflow prints no warning."""
     z = np.asarray(zbatch, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        var_violation, _ = variance_floor_value_grad(z, gamma)
-        cov_offdiag, _ = covariance_penalty_value_grad(z)
+        var_violation, cov_offdiag, _ = diversity_value_grad(z, gamma, 1.0,
+                                                             1.0)
         per_dim = z.var(axis=0, ddof=1)
     if np.isfinite(z).all() and not (np.isfinite(cov_offdiag)
                                      and np.isfinite(per_dim).all()):
@@ -242,7 +242,10 @@ _BANDWIDTH_SAMPLE_MAX = 512
 # rounding is at most (d + 2) eps / _NEAR of the distance, and it moves a
 # kernel entry exp(-d^2 / 2h^2) by at most (d + 2) eps / (e _NEAR).  Where
 # max(aa + bb) / (2 h^2) <= 1 / (e _NEAR) no pair's rounding moves an entry
-# by more than that either, and the distances are left as they are.
+# by more than that either, and the kernel sums leave the distances as
+# they are: finding the near pairs of every kernel block made separability
+# on two 1 000-row groups of 4-d codes 11.4 -> 17.8 ms.  The bandwidth's
+# one 512-row median always takes them.
 _NEAR = 2.0 ** -8
 
 
@@ -254,37 +257,19 @@ def _near_matters(sq_sum_max: float, two_h2: float) -> bool:
     return sq_sum_max * np.e * _NEAR > two_h2
 
 
-def _near_from_differences(d2, a, b, aa, bb):
+def _near_from_differences(d2, sums, a, b):
     """Overwrite the entries of ``d2`` = (aa + bb) - 2 a b' (rows of ``a``
-    against rows of ``b``, with ``aa`` a column and ``bb`` a row of squared
-    norms) that lie below ``_NEAR`` (aa + bb) with |a_i - b_j|^2 summed
-    from differences.  Bitwise-equal rows get exactly 0."""
-    i, j = np.nonzero(d2 < _NEAR * (aa + bb))
-    if i.size:
-        diff = a[i] - b[j]
-        d2[i, j] = np.einsum("ij,ij->i", diff, diff)
-
-
-def _median_distance(pooled: np.ndarray, sq: np.ndarray, ids: np.ndarray,
-                     near: bool) -> float:
-    n, d = pooled.shape
-    cols = np.arange(n)
-    d2 = np.empty(n * (n - 1) // 2)
-    at = 0
-    for lo, hi in row_blocks(n, d, n):
-        blk = np.matmul(pooled[lo:hi], pooled.T)
-        blk *= 2.0
-        dist = sq[lo:hi, None] + sq
-        dist -= blk
-        if near:
-            _near_from_differences(dist, pooled[lo:hi], pooled,
-                                   sq[lo:hi, None], sq)
-        np.maximum(dist, 0.0, out=dist)
-        dist[ids[lo:hi, None] == ids] = 0.0
-        upper = dist[cols > cols[lo:hi, None]]
-        d2[at:at + upper.size] = upper
-        at += upper.size
-    return float(np.median(d2, overwrite_input=True))
+    against rows of ``b``; a view will do) that lie below ``_NEAR``
+    (aa + bb) with |a_i - b_j|^2 summed from differences; ``sums`` holds
+    aa + bb and is scaled in place.  Bitwise-equal rows get exactly 0."""
+    sums *= _NEAR
+    k = np.flatnonzero(d2 < sums)
+    if k.size:
+        i, j = np.divmod(k, d2.shape[1])
+        # np.take gathers rows several times faster than a[i]
+        diff = np.take(a, i, axis=0)
+        diff -= np.take(b, j, axis=0)
+        d2.flat[k] = np.einsum("ij,ij->i", diff, diff)
 
 
 def median_bandwidth_sq(pooled: np.ndarray) -> float:
@@ -293,18 +278,30 @@ def median_bandwidth_sq(pooled: np.ndarray) -> float:
 
     The distances are taken as max((aa + bb) - 2 ab, 0) in the row blocks
     of ``numerics.row_blocks`` (the reported bandwidth depends on this
-    order of operations), and each block's pairs above the diagonal are
-    written into one condensed vector of n (n - 1) / 2 entries, so no
+    order of operations), the near pairs' from differences
+    (``_near_from_differences``), and each block's pairs above the diagonal
+    are written into one condensed vector of n (n - 1) / 2 entries, so no
     n x n matrix exists.  Two bitwise-equal rows are at distance exactly 0,
-    not the rounding noise of that formula.  When that median is small
-    against the squared norms (``_near_matters``), it is taken again with
-    the near pairs' distances from differences."""
+    not the rounding noise of that formula."""
     pooled = evenly_spaced(pooled, _BANDWIDTH_SAMPLE_MAX)
+    n, d = pooled.shape
     sq = np.sum(pooled * pooled, axis=1)
-    ids = row_ids(pooled)
-    med = _median_distance(pooled, sq, ids, False)
-    if med > 0 and _near_matters(2.0 * sq.max(), med):
-        med = _median_distance(pooled, sq, ids, True)
+    cols = np.arange(n)
+    d2 = np.empty(n * (n - 1) // 2)
+    at = 0
+    for lo, hi in row_blocks(n, d, n):
+        dist = np.matmul(pooled[lo:hi], pooled.T)
+        dist *= 2.0
+        sums = sq[lo:hi, None] + sq
+        np.subtract(sums, dist, out=dist)
+        # only the columns from the diagonal block on are kept
+        _near_from_differences(dist[:, lo:], sums[:, lo:], pooled[lo:hi],
+                               pooled[lo:])
+        np.maximum(dist, 0.0, out=dist)
+        upper = dist[cols > cols[lo:hi, None]]
+        d2[at:at + upper.size] = upper
+        at += upper.size
+    med = float(np.median(d2, overwrite_input=True))
     return med / 2.0 if med > 0 else 1.0
 
 
@@ -349,8 +346,8 @@ def _kernel_sum(a: np.ndarray, wa: np.ndarray, b: np.ndarray,
         blk += aa[lo:hi]
         blk += bb[:, cols]
         if near:
-            _near_from_differences(blk, a[lo:hi], b[cols], aa[lo:hi],
-                                   bb[:, cols])
+            _near_from_differences(blk, aa[lo:hi] + bb[:, cols], a[lo:hi],
+                                   b[cols])
         np.maximum(blk, 0.0, out=blk)
         blk *= -inv_2h2
         np.exp(blk, out=blk)

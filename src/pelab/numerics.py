@@ -23,7 +23,6 @@ each BLAS call small enough to run on the calling thread.  Its row blocks
 (``row_blocks``) also serve code that consumes a product one block at a
 time (a probe's epochs and held-out logits, the kernel sums, the bandwidth's
 distances), one BLAS call per block, with the bits that ``matmul`` gives.
-``row_ids`` gives equal rows one id.
 ``import pelab`` loads the BLAS without a thread pool when it is the first
 to import numpy; a process that loaded numpy earlier keeps the pool, and
 there the row blocks keep every product off it and make its bits
@@ -135,12 +134,6 @@ def distinct_rows(a: np.ndarray):
                                  return_counts=True)
     order = np.argsort(first)
     return first[order], counts[order].astype(np.float64)
-
-
-def row_ids(a: np.ndarray) -> np.ndarray:
-    """An integer id per row of a 2-d array, equal for two rows exactly
-    when their bytes are equal (as in ``distinct_rows``)."""
-    return np.unique(_row_keys(a), return_inverse=True)[1]
 
 
 def evenly_spaced(a: np.ndarray, k: int) -> np.ndarray:

@@ -19,9 +19,9 @@ norms, and the normalization's gradient its row dots, from einsum.
 
 The variance floor and the covariance penalty are priced by one kernel,
 ``diversity_value_grad``, from one centred covariance: both gradients are
-the centred codes times one d x d matrix.  ``variance_floor_value_grad``
-and ``covariance_penalty_value_grad`` are its two terms, which the
-geometry diagnostics report.
+the centred codes times one d x d matrix; the geometry diagnostics read
+both values from one call.  ``variance_floor_value_grad`` and
+``covariance_penalty_value_grad`` are its two terms on their own.
 """
 
 from __future__ import annotations
@@ -205,11 +205,6 @@ def covariance_penalty_value_grad(z):
     return value, grad
 
 
-def _scaled(w, g):
-    """w g, without a pass when w is 1: 1.0 * g is g, bit for bit."""
-    return g if w == 1.0 else w * g
-
-
 def perc_loss(enc, batch, spec: ObjectiveSpec, rho_source=None):
     """Composite perception loss with exact analytic parameter gradient.
 
@@ -222,33 +217,37 @@ def perc_loss(enc, batch, spec: ObjectiveSpec, rho_source=None):
     def code_loss(z2):
         # the codes of both views, stacked; each view's gradient is a half
         z, zp = z2[:n], z2[n:]
-        g2 = np.zeros(z2.shape)
-        gz, gzp = g2[:n], g2[n:]
+        grads = []   # (weight, dL/dz, dL/dzp or None)
         if spec.beta_inv > 0:
             v, g, gp = invariance_value_grad(z, zp)
             components["inv"] = spec.beta_inv * v
-            gz += _scaled(spec.beta_inv, g)
-            gzp += _scaled(spec.beta_inv, gp)
+            grads.append((spec.beta_inv, g, gp))
         if spec.use_nce:
             v, g, gp = infonce_value_grad(z, zp, spec.tau, spec.sim,
                                           spec.symmetric_nce)
             components["nce"] = v
-            gz += g
-            gzp += gp
+            grads.append((1.0, g, gp))
         if spec.w_var > 0 or spec.w_cov > 0:
+            # one kernel prices both terms; its gradient carries both weights
             v_var, v_cov, g = diversity_value_grad(z, spec.gamma, spec.w_var,
                                                    spec.w_cov)
             if spec.w_var > 0:
                 components["var"] = spec.w_var * v_var
             if spec.w_cov > 0:
                 components["cov"] = spec.w_cov * v_cov
-            gz += g
+            grads.append((1.0, g, None))
         if spec.w_eq > 0:
             mats = rho_batch(rho_source, batch.deltas, z.shape[1])
             v, g, gp = equivariance_value_grad(z, zp, mats)
             components["eq"] = spec.w_eq * v
-            gz += _scaled(spec.w_eq, g)
-            gzp += _scaled(spec.w_eq, gp)
+            grads.append((spec.w_eq, g, gp))
+        g2 = np.zeros(z2.shape)
+        gz, gzp = g2[:n], g2[n:]
+        for w, g, gp in grads:
+            # a weight of 1 multiplies nothing: 1.0 * g is g, bit for bit
+            gz += g if w == 1.0 else w * g
+            if gp is not None:
+                gzp += gp if w == 1.0 else w * gp
         return float(sum(components.values())), g2
 
     total, grad = param_gradient(enc, code_loss, batch.pairs)

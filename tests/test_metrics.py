@@ -418,11 +418,12 @@ def test_separability_far_clusters_matches_brute_force():
 
 def _dense_kernel(p, q, h2):
     """The full kernel matrix, its squared distances taken as separability
-    takes them: (aa + bb) - 2ab, and near pairs from differences."""
-    pp = np.sum(p * p, axis=1)[:, None]
-    qq = np.sum(q * q, axis=1)[None, :]
-    d2 = pp + qq - 2.0 * (p @ q.T)
-    metrics._near_from_differences(d2, p, q, pp, qq)
+    takes them: (aa + bb) - 2ab, and the near pairs, below 2^-8 (aa + bb),
+    from differences."""
+    sums = np.sum(p * p, axis=1)[:, None] + np.sum(q * q, axis=1)[None, :]
+    d2 = sums - 2.0 * (p @ q.T)
+    i, j = np.nonzero(d2 < metrics._NEAR * sums)
+    d2[i, j] = np.sum((p[i] - q[j]) ** 2, axis=1)
     return np.exp(-np.maximum(d2, 0.0) / (2.0 * h2))
 
 
@@ -506,13 +507,26 @@ _NEAR_PAIR_GROUPS = [
     np.full((387, 1), 0.7787675576)]
 
 
-def test_median_bandwidth_sq_takes_near_pairs_from_differences():
-    # the median pair of these groups is the near pair: aa + bb - 2ab put
-    # h^2 4.3e-11 relative off, and its distance from differences is exact
-    pooled = evenly_spaced(np.concatenate(_NEAR_PAIR_GROUPS), 512)
+# 300 rows within 1e-9 of one code 1 from the origin: aa + bb - 2ab
+# rounds their squared distances, about 1e-18, by about 1e-16 and clamps
+# most of them to 0, so taken that way their median is 0 and the bandwidth
+# the 1.0 fallback
+_JITTERED_GROUPS = [
+    np.array([0.6, -0.8]) + 1e-9 * np.random.default_rng(3).normal(
+        size=(n, 2)) for n in (140, 160)]
+
+
+@pytest.mark.parametrize("groups", [_NEAR_PAIR_GROUPS, _JITTERED_GROUPS],
+                         ids=["near_pair", "jittered"])
+def test_median_bandwidth_sq_takes_near_pairs_from_differences(groups):
+    # the median pair is a near pair: aa + bb - 2ab put h^2 4.3e-11 relative
+    # off (near_pair) or at the fallback (jittered), and its distance from
+    # differences is exact
+    pooled = evenly_spaced(np.concatenate(groups), 512)
     i, j = np.triu_indices(len(pooled), k=1)
     diff = pooled[i] - pooled[j]
     exact = float(np.median(np.einsum("ij,ij->i", diff, diff))) / 2.0
+    assert 0.0 < exact < 1.0
     assert metrics.median_bandwidth_sq(pooled) == exact
 
 
@@ -562,6 +576,7 @@ def test_kernel_sums_over_distinct_rows_match_dense_kernels(groups, h2):
 # 8.2e-7, and aa + bb - 2ab, which rounds by about 1e-16, moved its kernel
 # entries by 4e-11 (blocked and dense oracle 1.5e-11 apart)
 @example(_NEAR_PAIR_GROUPS)
+@example(_JITTERED_GROUPS)
 def test_separability_on_repeated_rows_matches_dense_kernels(groups):
     a, b = groups
     res = separability(a, b)
